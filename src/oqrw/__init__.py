@@ -9,145 +9,4 @@ On top sit invariant-state analysis with CLT drift/variance extraction, a
 catalog of named walk families with exact laws, and asymptotic helpers.
 """
 
-from .catalog import (
-    CutUnfoldSeq,
-    Ex5Spectrum,
-    ExampleSpec,
-    all_examples,
-    build,
-    closed_form,
-    cut_step,
-    cut_unfold_distribution,
-    cut_unfold_exact,
-    ex5_lambda1,
-    ex5_power_traces,
-    ex5_spectrum,
-    parse_example_spec,
-    sequence_contribution,
-    unfold_step,
-)
-from .core import (
-    KrausPair,
-    apply_adjoint_channel,
-    apply_channel,
-    channel_superoperator,
-    density_matrix,
-    kraus_defect,
-    left_mult,
-    mat2_from_json,
-    mat2_to_json,
-    random_kraus_pair,
-    right_mult,
-    validate_kraus_pair,
-)
-from .distribution import Distribution, compare, moments
-from .dual import (
-    DualSymbol,
-    DualTrajectory,
-    characteristic_function,
-    distribution_via_dual,
-    dual_power,
-    dual_symbol,
-    dual_trajectory,
-)
-from .exceptions import (
-    DegenerateJump,
-    DegenerateMax,
-    NoInvariantState,
-    NonUniqueInvariant,
-    NormalizationError,
-    OqrwError,
-    ParameterError,
-    ResidueError,
-    SizeError,
-    SumError,
-    UnsupportedExample,
-)
-from .lattice import LatticeState, distribution, evolve, initial_state, step
-from .limits import (
-    CltParams,
-    InvariantReport,
-    clt_params,
-    clt_variance,
-    drift,
-    drift_concentration_check,
-    ex5_alpha,
-    invariant_states,
-    laplace_ratio,
-    poisson_residual,
-    solve_poisson,
-)
-from .trajectory import SampleReport, TrajectoryState, sample, trajectory_step
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CltParams",
-    "CutUnfoldSeq",
-    "DegenerateJump",
-    "DegenerateMax",
-    "Distribution",
-    "DualSymbol",
-    "DualTrajectory",
-    "Ex5Spectrum",
-    "ExampleSpec",
-    "InvariantReport",
-    "KrausPair",
-    "LatticeState",
-    "NoInvariantState",
-    "NonUniqueInvariant",
-    "NormalizationError",
-    "OqrwError",
-    "ParameterError",
-    "ResidueError",
-    "SampleReport",
-    "SizeError",
-    "SumError",
-    "TrajectoryState",
-    "UnsupportedExample",
-    "all_examples",
-    "apply_adjoint_channel",
-    "apply_channel",
-    "build",
-    "channel_superoperator",
-    "characteristic_function",
-    "closed_form",
-    "clt_params",
-    "clt_variance",
-    "compare",
-    "cut_step",
-    "cut_unfold_distribution",
-    "cut_unfold_exact",
-    "density_matrix",
-    "distribution",
-    "distribution_via_dual",
-    "drift",
-    "drift_concentration_check",
-    "dual_power",
-    "dual_symbol",
-    "dual_trajectory",
-    "evolve",
-    "ex5_alpha",
-    "ex5_lambda1",
-    "ex5_power_traces",
-    "ex5_spectrum",
-    "initial_state",
-    "invariant_states",
-    "kraus_defect",
-    "laplace_ratio",
-    "left_mult",
-    "mat2_from_json",
-    "mat2_to_json",
-    "moments",
-    "parse_example_spec",
-    "poisson_residual",
-    "random_kraus_pair",
-    "right_mult",
-    "sample",
-    "sequence_contribution",
-    "solve_poisson",
-    "step",
-    "trajectory_step",
-    "unfold_step",
-    "validate_kraus_pair",
-]

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.stats import binom
 
 from .core import KrausPair, validate_kraus_pair
 from .distribution import Distribution
@@ -182,6 +181,8 @@ def closed_form(spec: ExampleSpec, rho0_diag, n: int) -> Distribution:
     if n == 0:
         return Distribution({0: 1.0})
 
+    from scipy.stats import binom
+
     # Accumulate on the even sublattice: coeff[i] is the mass at x = 2i - n.
     coeff = np.zeros(n + 1)
     ls = np.arange(n + 1)
@@ -210,6 +211,9 @@ def closed_form(spec: ExampleSpec, rho0_diag, n: int) -> Distribution:
 
 
 def _ex3_accumulate(coeff: np.ndarray, a: float, b: float, pt: float, qt: float, gamma: float, n: int) -> None:
+    """Add the ex3 law at time n >= 1 into coeff, the mass at x = 2i - n."""
+    from scipy.stats import binom
+
     coeff[0] += a
     g2 = gamma * gamma
     w = pt + qt
@@ -246,14 +250,6 @@ def _recover_ex3(kp: KrausPair) -> tuple[float, float, float]:
     if not ok:
         raise ParameterError("pair is not of the lazy-drift (ex3) shape")
     return float(B[1, 1].real ** 2), float(C[1, 1].real ** 2), float(C[0, 1].real)
-
-
-def _ex3_closed_form(a: float, b: float, pt: float, qt: float, gamma: float, n: int) -> dict[int, float]:
-    if n == 0:
-        return {0: 1.0}
-    coeff = np.zeros(n + 1)
-    _ex3_accumulate(coeff, a, b, pt, qt, gamma, n)
-    return {int(2 * i - n): float(coeff[i]) for i in range(n + 1) if coeff[i] > 0}
 
 
 # -- ex5 spectrum ------------------------------------------------------------
@@ -307,15 +303,7 @@ def ex5_power_traces(l: int) -> float:
     """Tr(B*^l B^l) = Tr(C*^l C^l) = (l^2 + 2) / 3^l for the ex5 pair."""
     if l < 0:
         raise ValueError("l must be >= 0")
-    value = (l * l + 2) / 3.0**l
-    B, C = build(ExampleSpec("ex5"))
-    Bl = np.linalg.matrix_power(B, l)
-    Cl = np.linalg.matrix_power(C, l)
-    got_b = np.trace(Bl.conj().T @ Bl).real
-    got_c = np.trace(Cl.conj().T @ Cl).real
-    if abs(got_b - value) > 1e-12 or abs(got_c - value) > 1e-12:  # pragma: no cover
-        raise AssertionError(f"power-trace identity failed at l={l}")
-    return value
+    return (l * l + 2) / 3.0**l
 
 
 # -- cutting / unfolding -----------------------------------------------------
@@ -328,55 +316,18 @@ def ex5_power_traces(l: int) -> float:
 # word to weighted single-power traces, all evaluated in exact rationals.
 
 
-@dataclass(frozen=True)
-class CutUnfoldSeq:
-    """A partially shortened run sequence.
+def _displacement(runs: tuple[int, ...], inner_b: bool) -> int:
+    """Net displacement of a word given by its run lengths, outermost first.
 
-    segments are the run lengths from outermost to innermost; inner is the
-    type ("B" or "C") of the innermost run, with types alternating outward;
-    weight is the rational factor accumulated by the shortening steps so far.
+    Run types alternate outward from the innermost one (B if inner_b);
+    C runs move right (+), B runs move left (-).
     """
-
-    segments: tuple[int, ...]
-    inner: str
-    weight: Fraction = Fraction(1)
-
-    def __post_init__(self):
-        if self.inner not in ("B", "C"):
-            raise ValueError("inner must be 'B' or 'C'")
-        if not self.segments or any(s < 1 for s in self.segments):
-            raise ValueError("segments must be a nonempty tuple of positive lengths")
-
-    def displacement(self) -> int:
-        """Net displacement: C runs move right (+), B runs move left (-)."""
-        sign = 1 if self.inner == "C" else -1
-        total = 0
-        for length in reversed(self.segments):
-            total += sign * length
-            sign = -sign
-        return total
-
-
-def _flip(t: str) -> str:
-    return "C" if t == "B" else "B"
-
-
-def cut_step(seq: CutUnfoldSeq) -> CutUnfoldSeq:
-    """Remove the innermost run of length m, picking up weight (m^2+2)/3^m."""
-    if len(seq.segments) < 2:
-        raise ValueError("cannot shorten a single-run sequence")
-    m = seq.segments[-1]
-    w = seq.weight * Fraction(m * m + 2, 3**m)
-    return CutUnfoldSeq(seq.segments[:-1], _flip(seq.inner), w)
-
-
-def unfold_step(seq: CutUnfoldSeq) -> CutUnfoldSeq:
-    """Merge the innermost run into its neighbour, picking up weight -1."""
-    if len(seq.segments) < 2:
-        raise ValueError("cannot shorten a single-run sequence")
-    m = seq.segments[-1]
-    segments = seq.segments[:-2] + (seq.segments[-2] + m,)
-    return CutUnfoldSeq(segments, _flip(seq.inner), -seq.weight)
+    sign = -1 if inner_b else 1
+    total = 0
+    for length in reversed(runs):
+        total += sign * length
+        sign = -sign
+    return total
 
 
 def _trace_b(l: int, a: Fraction, b: Fraction) -> Fraction:
@@ -403,13 +354,6 @@ def _evaluate(runs: tuple[int, ...], inner_b: bool, a: Fraction, b: Fraction, me
     return val
 
 
-def sequence_contribution(seq: CutUnfoldSeq, rho0_diag) -> Fraction:
-    """Total weighted trace over every shortening of seq, times seq.weight."""
-    a, b = _check_diag(rho0_diag)
-    fa = Fraction(a)
-    return seq.weight * _evaluate(seq.segments, seq.inner == "B", fa, 1 - fa, {})
-
-
 def _compositions(n: int):
     if n == 0:
         yield ()
@@ -434,8 +378,7 @@ def cut_unfold_exact(rho0_diag, n: int) -> dict[int, Fraction]:
     out: dict[int, Fraction] = {}
     for runs in _compositions(n):
         for inner_b in (True, False):
-            seq = CutUnfoldSeq(runs, "B" if inner_b else "C")
-            x = seq.displacement()
+            x = _displacement(runs, inner_b)
             out[x] = out.get(x, Fraction(0)) + _evaluate(runs, inner_b, fa, fb, memo)
     return {x: v for x, v in sorted(out.items()) if v}
 

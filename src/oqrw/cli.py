@@ -154,21 +154,29 @@ def run(config: RunConfig) -> int:
     return 0
 
 
-def _config_from_args(args, method_required: bool = True) -> RunConfig:
+def _kraus_from_args(args) -> dict | None:
+    """The 'kraus' config field given by --example or --B/--C, if any."""
+    if args.example is not None and (args.B is not None or args.C is not None):
+        raise ParameterError("give either --example or --B/--C, not both")
+    if args.example is not None:
+        return {"example": args.example}
+    if args.B is not None or args.C is not None:
+        if args.B is None or args.C is None:
+            raise ParameterError("provide both --B and --C")
+        return {"B": json.loads(args.B), "C": json.loads(args.C)}
+    return None
+
+
+def _config_from_args(args) -> RunConfig:
     base: dict = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
             base = json.load(fh)
         if not isinstance(base, dict):
             raise ParameterError("config file must hold a JSON object")
-    if args.example is not None and (args.B is not None or args.C is not None):
-        raise ParameterError("give either --example or --B/--C, not both")
-    if args.example is not None:
-        base["kraus"] = {"example": args.example}
-    elif args.B is not None or args.C is not None:
-        if args.B is None or args.C is None:
-            raise ParameterError("provide both --B and --C")
-        base["kraus"] = {"B": json.loads(args.B), "C": json.loads(args.C)}
+    kraus = _kraus_from_args(args)
+    if kraus is not None:
+        base["kraus"] = kraus
     if getattr(args, "rho0", None) is not None:
         base["rho0"] = json.loads(args.rho0)
     base.setdefault("rho0", _IDENTITY_HALF)
@@ -176,7 +184,7 @@ def _config_from_args(args, method_required: bool = True) -> RunConfig:
         base["steps"] = args.steps
     if getattr(args, "method", None) is not None:
         base["method"] = args.method
-    elif method_required:
+    else:
         base.setdefault("method", "lattice")
     if getattr(args, "seed", None) is not None:
         base["seed"] = args.seed
@@ -209,7 +217,10 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_clt(args) -> int:
-    pair, _ = _resolve_kraus(_kraus_dict_from_args(args))
+    kraus = _kraus_from_args(args)
+    if kraus is None:
+        raise ParameterError("no Kraus pair given: use --example or --B/--C")
+    pair, _ = _resolve_kraus(kraus)
     params = limits.clt_params(pair)
     doc = {
         "m": params.m,
@@ -259,16 +270,6 @@ def _cmd_init_example(args) -> int:
     text = json.dumps(config.to_json_dict(), indent=2)
     _emit(text, args.out)
     return 0
-
-
-def _kraus_dict_from_args(args) -> dict:
-    if args.example is not None and (args.B is not None or args.C is not None):
-        raise ParameterError("give either --example or --B/--C, not both")
-    if args.example is not None:
-        return {"example": args.example}
-    if args.B is not None and args.C is not None:
-        return {"B": json.loads(args.B), "C": json.loads(args.C)}
-    raise ParameterError("no Kraus pair given: use --example or --B/--C")
 
 
 def _add_kraus_flags(p: argparse.ArgumentParser) -> None:

@@ -19,6 +19,8 @@ KRAUS_TOL = 1e-12
 HERMITIAN_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-12
 TRACE_TOL = 1e-12
+# Largest site count (lattice) or Fourier node count (dual) an engine allocates.
+MAX_SITES = 1_000_000
 
 I2 = np.eye(2, dtype=complex)
 

@@ -116,13 +116,6 @@ class Distribution:
         return cls((data["x"], data["p"]))
 
 
-def moments(d: Distribution, order: int) -> float:
-    """Raw moment sum_x x^order p_x for order 1 or 2."""
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    return float((d.sites.astype(float) ** order) @ d.probs)
-
-
 def compare(a: Distribution, b: Distribution) -> dict:
     """Max-abs difference over the union support and total variation distance."""
     union = np.union1d(a.sites, b.sites)

@@ -14,99 +14,55 @@ in the final trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import I2, KrausPair, density_matrix, devectorize
+from .core import I2, MAX_SITES, KrausPair, density_matrix, devectorize
 from .distribution import Distribution
-from .exceptions import ResidueError
+from .exceptions import ResidueError, SizeError
 
 IMAG_RESIDUE_TOL = 1e-9
-BINARY_POWER_THRESHOLD = 64
 
 
-@dataclass(frozen=True)
-class DualSymbol:
-    k: float
-    op: np.ndarray
+def dual_symbol(kp: KrausPair, k) -> np.ndarray:
+    """The one-step dual superoperator at momentum k, a 4x4 array.
 
-
-@dataclass(frozen=True)
-class DualTrajectory:
-    """Y_n sampled on the quadrature grid k_j = 2 pi j / N."""
-
-    n: int
-    nodes: np.ndarray
-    values: np.ndarray  # shape (N, 2, 2)
-
-
-def _symbol_parts(kp: KrausPair) -> tuple[np.ndarray, np.ndarray]:
+    For an array of momenta the symbols are stacked: shape k.shape + (4, 4).
+    """
     B, C = kp
     # L_{B*} R_B = kron(B*, B^T); the e^{+ik} factor goes with the B part.
-    return np.kron(B.conj().T, B.T), np.kron(C.conj().T, C.T)
+    phase = np.exp(1j * np.asarray(k, dtype=float))[..., None, None]
+    return phase * np.kron(B.conj().T, B.T) + np.kron(C.conj().T, C.T) / phase
 
 
-def dual_symbol(kp: KrausPair, k: float) -> DualSymbol:
-    """The one-step dual superoperator at momentum k."""
-    MB, MC = _symbol_parts(kp)
-    phase = np.exp(1j * k)
-    return DualSymbol(float(k), phase * MB + MC / phase)
-
-
-def dual_power(kp: KrausPair, k: float, n: int, method: str = "iterate") -> np.ndarray:
-    """Y_n(k) as a 2x2 matrix.
-
-    method="iterate" applies the symbol n times to vec(I); method="binary"
-    uses a matrix power (log n cost, for large single-k queries).
-    """
+def _check_steps(n: int) -> None:
     if n < 0:
         raise ValueError("n must be >= 0")
-    op = dual_symbol(kp, k).op
-    v = I2.reshape(4).astype(complex)
-    if method == "binary":
-        v = np.linalg.matrix_power(op, n) @ v
-    elif method == "iterate":
-        for _ in range(n):
-            v = op @ v
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return devectorize(v)
+    if 2 * n + 2 > MAX_SITES:
+        raise SizeError(f"{2 * n + 2} Fourier nodes exceed the limit {MAX_SITES}")
 
 
-def _grid_values(kp: KrausPair, n: int, num_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized Y_n over the DFT grid; returns (nodes, vecs of shape (N, 4))."""
-    nodes = 2 * np.pi * np.arange(num_nodes) / num_nodes
-    MB, MC = _symbol_parts(kp)
-    phase = np.exp(1j * nodes)[:, None, None]
-    symbols = phase * MB + MC / phase
-    v = np.broadcast_to(I2.reshape(4), (num_nodes, 4)).astype(complex)
-    if n >= BINARY_POWER_THRESHOLD:
-        # Square-and-multiply over the stacked 4x4 symbols: log n batched
-        # matmuls instead of n applications. Conjugate symmetry between the
-        # k and -k nodes is preserved exactly, so the inversion residue is
-        # no worse than with step-by-step application.
-        power = None
-        base = symbols
-        remaining = n
-        while remaining:
-            if remaining & 1:
-                power = base if power is None else base @ power
-            remaining >>= 1
-            if remaining:
-                base = base @ base
-        v = np.einsum("nij,nj->ni", power, v)
-    else:
-        for _ in range(n):
-            v = np.einsum("nij,nj->ni", symbols, v)
-    return nodes, v
+def _power_vecs(symbols: np.ndarray, n: int) -> np.ndarray:
+    """vec(Y_n) at every node: the n-th power of each stacked symbol applied
+    to vec(I), by square-and-multiply (log n batched matmuls).
+
+    Conjugate symmetry between the k and -k nodes is preserved exactly.
+    """
+    power = None
+    base = symbols
+    while n:
+        if n & 1:
+            power = base if power is None else base @ power
+        n >>= 1
+        if n:
+            base = base @ base
+    v = np.broadcast_to(I2.reshape(4), (symbols.shape[0], 4)).astype(complex)
+    return v if power is None else np.einsum("nij,nj->ni", power, v)
 
 
-def dual_trajectory(kp: KrausPair, n: int, num_nodes: int | None = None) -> DualTrajectory:
-    if num_nodes is None:
-        num_nodes = 2 * n + 2
-    nodes, v = _grid_values(kp, n, num_nodes)
-    return DualTrajectory(n, nodes, v.reshape(num_nodes, 2, 2))
+def dual_power(kp: KrausPair, k: float, n: int) -> np.ndarray:
+    """Y_n(k) as a 2x2 matrix."""
+    _check_steps(n)
+    return devectorize(_power_vecs(dual_symbol(kp, [k]), n)[0])
 
 
 def _invert_traces(phi: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -124,18 +80,12 @@ def _invert_traces(phi: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return sites, p.real
 
 
-def distribution_via_dual(
-    kp: KrausPair, rho0, n: int, num_nodes: int | None = None
-) -> Distribution:
+def distribution_via_dual(kp: KrausPair, rho0, n: int) -> Distribution:
     """Exact walk distribution at time n by dual evolution plus inversion."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _check_steps(n)
     rho0 = density_matrix(rho0)
-    if num_nodes is None:
-        num_nodes = 2 * n + 2
-    if num_nodes < 2 * n + 1:
-        raise ValueError(f"need at least {2 * n + 1} nodes for exact inversion")
-    _, v = _grid_values(kp, n, num_nodes)
+    nodes = 2 * np.pi * np.arange(2 * n + 2) / (2 * n + 2)
+    v = _power_vecs(dual_symbol(kp, nodes), n)
     phi = v @ rho0.T.reshape(4)  # Tr(rho0 Y) = vec(rho0^T) . vec(Y)
     sites, p = _invert_traces(phi, n)
     keep = p >= 1e-16

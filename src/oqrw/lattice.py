@@ -14,12 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KrausPair, density_matrix, mat2_from_json, mat2_to_json
-from .distribution import Distribution, moments  # noqa: F401  (moments re-exported)
+from .core import MAX_SITES, KrausPair, density_matrix, mat2_from_json, mat2_to_json
+from .distribution import Distribution
 from .exceptions import SizeError, SumError
 
 PRUNE_TRACE = 1e-16
-DEFAULT_SITE_LIMIT = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -77,17 +76,17 @@ def step(kp: KrausPair, s: LatticeState) -> LatticeState:
     return LatticeState(grid[keep], blocks[keep], s.step_count + 1)
 
 
-def evolve(kp: KrausPair, s0: LatticeState, n: int, site_limit: int = DEFAULT_SITE_LIMIT) -> LatticeState:
+def evolve(kp: KrausPair, s0: LatticeState, n: int) -> LatticeState:
     """n-fold composition of step.
 
     Raises SizeError before starting if the final support could exceed
-    `site_limit` sites.
+    MAX_SITES sites.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if s0.sites.size + 2 * n > site_limit:
+    if s0.sites.size + 2 * n > MAX_SITES:
         raise SizeError(
-            f"support may reach {s0.sites.size + 2 * n} sites, over the limit {site_limit}"
+            f"support may reach {s0.sites.size + 2 * n} sites, over the limit {MAX_SITES}"
         )
     s = s0
     for _ in range(n):

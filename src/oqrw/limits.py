@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .core import (
     I2,
@@ -203,7 +202,7 @@ def laplace_ratio(f, g, interval: tuple[float, float], n: int) -> float:
     w = np.ones(SIMPSON_PANELS + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    fn = fx**n
+    fn = (fx / peak) ** n  # scaled by the peak so that f^n cannot underflow
     denom = float(np.sum(w * fn))
     if denom == 0:
         raise DegenerateMax("integral of f^n vanishes on the grid")
@@ -216,6 +215,8 @@ def ex5_alpha(n: int) -> float:
     lambda_1 is the dominant eigenvalue branch of the dual symbol of the
     (1/sqrt 3)-pair; see `catalog.ex5_lambda1`. Decays like sqrt(9 pi / (4 n)).
     """
+    from scipy.integrate import quad
+
     from .catalog import ex5_lambda1
 
     if n < 1:
@@ -235,7 +236,7 @@ def drift_concentration_check(kp: KrausPair, rho0, alpha: float, n: int) -> floa
     rather than truncated. The walk drifts to -n; everything at distance
     more than 0.5 * n^alpha from -n is summed.
     """
-    from .catalog import _ex3_closed_form, _recover_ex3
+    from .catalog import _ex3_accumulate, _recover_ex3
 
     pt, qt, gamma = _recover_ex3(kp)
     rho0 = density_matrix(rho0)
@@ -243,10 +244,9 @@ def drift_concentration_check(kp: KrausPair, rho0, alpha: float, n: int) -> floa
         raise ParameterError("rho0 must be diagonal for the closed form")
     a = float(rho0[0, 0].real)
     b = float(rho0[1, 1].real)
-    dist = _ex3_closed_form(a, b, pt, qt, gamma, n)
+    if n == 0:
+        return 0.0  # all mass sits at the ballistic point
+    coeff = np.zeros(n + 1)  # mass at x = 2i - n, at distance 2i from -n
+    _ex3_accumulate(coeff, a, b, pt, qt, gamma, n)
     window = 0.5 * float(n) ** float(alpha)
-    mass = 0.0
-    for x, p in dist.items():
-        if abs(x - (-n)) > window:
-            mass += p
-    return mass
+    return float(coeff[2 * np.arange(n + 1) > window].sum())

@@ -6,14 +6,11 @@ marginal of this chain is exactly the walk distribution.
 
 Randomness is counter-based: trajectory i consumes the stream of
 Philox(key=[seed, i]), so results are reproducible bit for bit regardless of
-how many threads process the trajectory chunks. OQRW_THREADS caps the thread
-count; chunk results are merged in index order either way.
+how the trajectories are split into chunks.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,13 +75,6 @@ def trajectory_step(kp: KrausPair, s: TrajectoryState, u: float) -> TrajectorySt
     return TrajectoryState(rho, x)
 
 
-def _thread_count(n_chunks: int, threads: int | None) -> int:
-    if threads is None:
-        env = os.environ.get("OQRW_THREADS", "").strip()
-        threads = int(env) if env else (os.cpu_count() or 1)
-    return max(1, min(int(threads), n_chunks))
-
-
 def _run_chunk(kp: KrausPair, rho0: np.ndarray, n_steps: int, seed: int, lo: int, hi: int) -> np.ndarray:
     """Final positions of trajectories lo..hi-1, shifted to counts over [-n, n]."""
     m = hi - lo
@@ -112,32 +102,16 @@ def _run_chunk(kp: KrausPair, rho0: np.ndarray, n_steps: int, seed: int, lo: int
     return np.bincount(x + n_steps, minlength=2 * n_steps + 1)
 
 
-def sample(
-    kp: KrausPair,
-    rho0,
-    n_steps: int,
-    n_traj: int,
-    seed: int,
-    threads: int | None = None,
-) -> SampleReport:
+def sample(kp: KrausPair, rho0, n_steps: int, n_traj: int, seed: int) -> SampleReport:
     """Deterministic Monte Carlo estimate of the time-n distribution."""
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
     rho0 = density_matrix(rho0)
-    bounds = [(lo, min(lo + CHUNK, n_traj)) for lo in range(0, n_traj, CHUNK)]
-    workers = _thread_count(len(bounds), threads)
-    if workers == 1 or len(bounds) == 1:
-        partials = [_run_chunk(kp, rho0, n_steps, seed, lo, hi) for lo, hi in bounds]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(
-                pool.map(lambda b: _run_chunk(kp, rho0, n_steps, seed, *b), bounds)
-            )
     counts = np.zeros(2 * n_steps + 1, dtype=np.int64)
-    for part in partials:  # fixed merge order (already order-independent for ints)
-        counts += part
+    for lo in range(0, n_traj, CHUNK):
+        counts += _run_chunk(kp, rho0, n_steps, seed, lo, min(lo + CHUNK, n_traj))
     sites = np.arange(-n_steps, n_steps + 1, dtype=np.int64)
     keep = counts > 0
     empirical = Distribution((sites[keep], counts[keep] / n_traj))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.stats import binom
 
 from oqrw import catalog
-from oqrw.catalog import CutUnfoldSeq, ExampleSpec, cut_step, unfold_step
+from oqrw.catalog import ExampleSpec
 from oqrw.distribution import compare
 from oqrw.exceptions import ParameterError, SizeError, UnsupportedExample
 from oqrw.lattice import distribution, evolve, initial_state
@@ -155,7 +155,7 @@ def test_ex3_mass_is_conserved_at_large_n():
 def _explicit_symbol(k):
     from oqrw.dual import dual_symbol
 
-    return dual_symbol(catalog.build(ExampleSpec("ex5")), k).op
+    return dual_symbol(catalog.build(ExampleSpec("ex5")), k)
 
 
 def test_spectrum_at_zero():
@@ -221,8 +221,12 @@ def test_power_traces():
     assert catalog.ex5_power_traces(0) == 2.0
     assert catalog.ex5_power_traces(1) == 1.0
     assert catalog.ex5_power_traces(4) == pytest.approx(18.0 / 81.0, abs=1e-15)
+    B, C = catalog.build(ExampleSpec("ex5"))
     for l in range(21):
-        catalog.ex5_power_traces(l)  # internal matrix-power check must hold
+        for M in (B, C):
+            Ml = np.linalg.matrix_power(M, l)
+            got = np.trace(Ml.conj().T @ Ml).real
+            assert abs(got - catalog.ex5_power_traces(l)) <= 1e-12
     with pytest.raises(ValueError):
         catalog.ex5_power_traces(-1)
 
@@ -230,60 +234,53 @@ def test_power_traces():
 # ---- cutting / unfolding ---------------------------------------------------
 
 
-def test_seq_validation():
-    with pytest.raises(ValueError):
-        CutUnfoldSeq((), "B")
-    with pytest.raises(ValueError):
-        CutUnfoldSeq((2, 0), "B")
-    with pytest.raises(ValueError):
-        CutUnfoldSeq((2,), "Q")
-    with pytest.raises(ValueError):
-        cut_step(CutUnfoldSeq((3,), "B"))
-    with pytest.raises(ValueError):
-        unfold_step(CutUnfoldSeq((3,), "C"))
+# A word is given by its run lengths, outermost first, and the type of its
+# innermost run (inner_b); _evaluate shortens it to single-run traces.
+
+HALF = Fraction(1, 2)
 
 
 def test_displacement_alternates_from_inner_run():
-    assert CutUnfoldSeq((1, 3), "C").displacement() == 2
-    assert CutUnfoldSeq((1, 3), "B").displacement() == -2
-    assert CutUnfoldSeq((2, 1, 1), "B").displacement() == -2
-    assert CutUnfoldSeq((1, 1, 1, 1), "C").displacement() == 0
+    assert catalog._displacement((1, 3), False) == 2
+    assert catalog._displacement((1, 3), True) == -2
+    assert catalog._displacement((2, 1, 1), True) == -2
+    assert catalog._displacement((1, 1, 1, 1), False) == 0
 
 
 def test_cut_and_unfold_mechanics():
-    seq = CutUnfoldSeq((1, 3), "B")
-    cut = cut_step(seq)
-    assert cut.segments == (1,) and cut.inner == "C"
-    assert cut.weight == Fraction(11, 27)
-    merged = unfold_step(seq)
-    assert merged.segments == (4,) and merged.inner == "C"
-    assert merged.weight == Fraction(-1)
+    # shortening (1, 3) with a B innermost run: cutting the run of length 3
+    # leaves (1,) with a C innermost run and weight 11/27; unfolding merges it
+    # into (4,), again C innermost, with weight -1
+    a, b = Fraction(1, 3), Fraction(2, 3)
+    memo: dict = {}
+    val = catalog._evaluate((1, 3), True, a, b, memo)
+    assert set(memo) == {((1, 3), True), ((1,), False), ((4,), False)}
+    assert val == Fraction(11, 27) * memo[((1,), False)] - memo[((4,), False)]
 
 
 def test_worked_contributions_at_n4():
     # the four length-4 words landing at x = -2, evaluated with rho0 = I/2;
     # mirror words land at +2 with the same weights
-    half = (0.5, 0.5)
     cases = {
-        CutUnfoldSeq((1, 3), "B"): Fraction(5, 54),
-        CutUnfoldSeq((3, 1), "C"): Fraction(5, 54),
-        CutUnfoldSeq((1, 1, 2), "B"): Fraction(1, 54),
-        CutUnfoldSeq((2, 1, 1), "B"): Fraction(1, 54),
+        ((1, 3), True): Fraction(5, 54),
+        ((3, 1), False): Fraction(5, 54),
+        ((1, 1, 2), True): Fraction(1, 54),
+        ((2, 1, 1), True): Fraction(1, 54),
     }
-    for seq, expected in cases.items():
-        assert catalog.sequence_contribution(seq, half) == expected
+    for (runs, inner_b), expected in cases.items():
+        assert catalog._displacement(runs, inner_b) == -2
+        assert catalog._evaluate(runs, inner_b, HALF, HALF, {}) == expected
     assert sum(cases.values()) == Fraction(2, 9)
 
 
 def test_manual_shortening_equals_evaluator():
     # cut minus unfold, applied once, reduces (1,3) to single runs whose
     # traces are (a + b(l^2+1))/3^l for a B run and the swap for a C run
-    seq = CutUnfoldSeq((1, 3), "B")
-    a = b = Fraction(1, 2)
+    a = b = HALF
     trace_c1 = (a * 2 + b) / 3
     trace_c4 = (a * 17 + b) / 81
-    manual = cut_step(seq).weight * trace_c1 - trace_c4
-    assert manual == catalog.sequence_contribution(seq, (0.5, 0.5))
+    manual = Fraction(11, 27) * trace_c1 - trace_c4
+    assert manual == catalog._evaluate((1, 3), True, a, b, {})
 
 
 def test_exact_law_at_n4():

@@ -113,6 +113,21 @@ def test_clt_report(capsys):
     assert set(doc["residuals"]) == {"fixed_point", "poisson", "solvability"}
 
 
+def test_clt_requires_a_pair(capsys):
+    assert cli.main(["clt"]) == 2
+    assert "error: no Kraus pair given" in capsys.readouterr().err
+    assert cli.main(["clt", "--B", "[[[1,0],[0,0]],[[0,0],[1,0]]]"]) == 2
+    assert "error: provide both --B and --C" in capsys.readouterr().err
+
+
+def test_dist_dual_size_guard_is_exit_2(capsys):
+    argv = ["dist", "--method", "dual", "--example", "ex5", "--steps", "100000000"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_clt_degenerate_is_exit_3(capsys):
     assert cli.main(["clt", "--example", "ex1"]) == 3
     assert "error" in capsys.readouterr().err

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oqrw.distribution import Distribution, compare, moments
+from oqrw.distribution import Distribution, compare
 
 
 def test_sorted_and_deduplicated():
@@ -29,10 +29,9 @@ def test_mean_variance():
     d = Distribution({-1: 0.5, 1: 0.5})
     assert d.mean() == 0.0
     assert d.variance() == 1.0
-    assert moments(d, 1) == 0.0
-    assert moments(d, 2) == 1.0
-    with pytest.raises(ValueError):
-        moments(d, 3)
+    skewed = Distribution({0: 0.25, 2: 0.75})
+    assert skewed.mean() == 1.5
+    assert skewed.variance() == 0.75  # E[x^2] - mean^2 = 3 - 2.25
 
 
 def test_csv_round_trip(tmp_path):

@@ -5,7 +5,8 @@ import pytest
 
 from oqrw import catalog, dual, lattice
 from oqrw.distribution import compare
-from oqrw.exceptions import ResidueError
+from oqrw.core import I2
+from oqrw.exceptions import ResidueError, SizeError
 
 from conftest import brute_force_laws, make_random_pairs
 
@@ -14,7 +15,7 @@ def test_symbol_at_zero_is_channel_adjoint_superoperator(example_pair):
     from oqrw.core import adjoint_channel_superoperator
 
     sym = dual.dual_symbol(example_pair, 0.0)
-    np.testing.assert_allclose(sym.op, adjoint_channel_superoperator(example_pair), atol=1e-15)
+    np.testing.assert_allclose(sym, adjoint_channel_superoperator(example_pair), atol=1e-15)
 
 
 def test_symbol_hermitian_pairing(example_pair):
@@ -22,8 +23,8 @@ def test_symbol_hermitian_pairing(example_pair):
     if np.abs(example_pair.B.imag).max() > 0 or np.abs(example_pair.C.imag).max() > 0:
         pytest.skip("conjugation symmetry in this form needs real generators")
     k = 0.7331
-    a = dual.dual_symbol(example_pair, k).op
-    b = dual.dual_symbol(example_pair, -k).op
+    a = dual.dual_symbol(example_pair, k)
+    b = dual.dual_symbol(example_pair, -k)
     np.testing.assert_allclose(b, a.conj(), atol=1e-15)
 
 
@@ -40,16 +41,17 @@ def test_ex5_symbol_matches_explicit_matrix(ex5_pair):
             [e_p, e_p, e_p, two_cos],
         ]
     )
-    np.testing.assert_allclose(dual.dual_symbol(ex5_pair, k).op, explicit, atol=1e-15)
+    np.testing.assert_allclose(dual.dual_symbol(ex5_pair, k), explicit, atol=1e-15)
 
 
 def test_dual_power_binary_equals_iterate(example_pair):
+    """Square-and-multiply agrees with applying the symbol n times to vec(I)."""
+    op = dual.dual_symbol(example_pair, 0.9)
     for n in (0, 1, 7, 40):
-        a = dual.dual_power(example_pair, 0.9, n, method="iterate")
-        b = dual.dual_power(example_pair, 0.9, n, method="binary")
-        np.testing.assert_allclose(a, b, atol=1e-12)
-    with pytest.raises(ValueError):
-        dual.dual_power(example_pair, 0.9, 2, method="nope")
+        v = I2.reshape(4)
+        for _ in range(n):
+            v = op @ v
+        np.testing.assert_allclose(dual.dual_power(example_pair, 0.9, n), v.reshape(2, 2), atol=1e-12)
     with pytest.raises(ValueError):
         dual.dual_power(example_pair, 0.9, -1)
 
@@ -83,7 +85,7 @@ def test_distribution_matches_brute_force(rho_half):
 
 
 def test_distribution_matches_lattice_large_n(example_pair, rho_half):
-    n = 200  # binary-powering path
+    n = 200
     d_dual = dual.distribution_via_dual(example_pair, rho_half, n)
     d_lat = lattice.distribution(lattice.evolve(example_pair, lattice.initial_state(rho_half), n))
     assert compare(d_dual, d_lat)["max_abs"] <= 1e-10
@@ -94,16 +96,14 @@ def test_nonsquare_rho_rejected(ex5_pair):
         dual.distribution_via_dual(ex5_pair, np.diag([0.7, 0.7]), 3)
     with pytest.raises(ValueError):
         dual.distribution_via_dual(ex5_pair, np.eye(2) / 2, -2)
-    with pytest.raises(ValueError):
-        dual.distribution_via_dual(ex5_pair, np.eye(2) / 2, 5, num_nodes=10)
 
 
-def test_trajectory_grid_shape(ex5_pair):
-    tr = dual.dual_trajectory(ex5_pair, 6)
-    assert tr.n == 6
-    assert tr.nodes.shape == (14,)
-    assert tr.values.shape == (14, 2, 2)
-    np.testing.assert_allclose(tr.values[0], dual.dual_power(ex5_pair, 0.0, 6), atol=1e-12)
+def test_grid_size_guard(ex5_pair):
+    # 2n + 2 nodes over the shared bound: refused before anything is allocated
+    with pytest.raises(SizeError):
+        dual.distribution_via_dual(ex5_pair, np.eye(2) / 2, 10**8)
+    with pytest.raises(SizeError):
+        dual.dual_power(ex5_pair, 0.3, 10**8)
 
 
 def test_invert_traces_residue_guard():

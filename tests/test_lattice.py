@@ -75,7 +75,7 @@ def test_evolve_rejects_negative_and_oversize(rho_half):
     with pytest.raises(ValueError):
         lattice.evolve(kp, s, -1)
     with pytest.raises(SizeError):
-        lattice.evolve(kp, s, 10, site_limit=15)
+        lattice.evolve(kp, s, 10**6)
 
 
 def test_distribution_guards_mass_loss(rho_half):

@@ -174,6 +174,13 @@ def test_laplace_ratio_off_center_maximizer():
     assert r == pytest.approx(0.5, abs=0.01)
 
 
+def test_laplace_ratio_peak_below_one_does_not_underflow():
+    # f^n underflows to 0 everywhere at n = 2000 unless scaled by its peak
+    n = 2000
+    r = limits.laplace_ratio(lambda x: 0.5 - 0.5 * x * x, np.cos, (-1.0, 1.0), n)
+    assert abs(r - 1.0) < 1.0 / n
+
+
 def test_laplace_ratio_rejects_two_peaks():
     with pytest.raises(DegenerateMax):
         limits.laplace_ratio(lambda x: np.cos(2 * x), lambda x: x + 2.0, (-np.pi, np.pi), 10)
@@ -222,6 +229,8 @@ def test_ex5_alpha_requires_positive_n():
 def test_drift_concentration_zero_for_stuck_start():
     kp = _pair("ex3")
     assert limits.drift_concentration_check(kp, np.diag([1.0, 0.0]), 0.5, 40) == 0.0
+    # at n = 0 all mass sits at the start, also where pt = qt = 0
+    assert limits.drift_concentration_check(_pair("ex3:p=0.5,gamma=1.0"), np.eye(2) / 2, 0.5, 0) == 0.0
 
 
 def test_drift_concentration_decreases():

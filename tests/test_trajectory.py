@@ -50,22 +50,15 @@ def test_both_branches_dead_raises():
         trajectory.trajectory_step(kp, dead, 0.5)
 
 
-def test_sample_reproducible_and_thread_invariant(ex5_pair, rho_half):
+def test_sample_reproducible_and_chunk_invariant(ex5_pair, rho_half, monkeypatch):
     a = trajectory.sample(ex5_pair, rho_half, 12, 9000, seed=77)
     b = trajectory.sample(ex5_pair, rho_half, 12, 9000, seed=77)
     assert a.empirical == b.empirical
     assert a.to_json_dict() == b.to_json_dict()
-    c = trajectory.sample(ex5_pair, rho_half, 12, 9000, seed=77, threads=1)
-    d = trajectory.sample(ex5_pair, rho_half, 12, 9000, seed=77, threads=5)
-    assert a.empirical == c.empirical == d.empirical
-
-
-def test_sample_respects_thread_env(ex5_pair, rho_half, monkeypatch):
-    monkeypatch.setenv("OQRW_THREADS", "2")
-    a = trajectory.sample(ex5_pair, rho_half, 8, 5000, seed=5)
-    monkeypatch.setenv("OQRW_THREADS", "1")
-    b = trajectory.sample(ex5_pair, rho_half, 8, 5000, seed=5)
-    assert a.empirical == b.empirical
+    # each trajectory draws from its own stream, so the chunking cannot matter
+    monkeypatch.setattr(trajectory, "CHUNK", 1000)
+    c = trajectory.sample(ex5_pair, rho_half, 12, 9000, seed=77)
+    assert a.empirical == c.empirical
 
 
 def test_seed_changes_output(ex5_pair, rho_half):
