@@ -169,7 +169,7 @@ def _kraus_from_args(args) -> dict | None:
 
 def _config_from_args(args) -> RunConfig:
     base: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             base = json.load(fh)
         if not isinstance(base, dict):
@@ -177,24 +177,24 @@ def _config_from_args(args) -> RunConfig:
     kraus = _kraus_from_args(args)
     if kraus is not None:
         base["kraus"] = kraus
-    if getattr(args, "rho0", None) is not None:
+    if args.rho0 is not None:
         base["rho0"] = json.loads(args.rho0)
     base.setdefault("rho0", _IDENTITY_HALF)
-    if getattr(args, "steps", None) is not None:
+    if args.steps is not None:
         base["steps"] = args.steps
-    if getattr(args, "method", None) is not None:
+    if args.method is not None:
         base["method"] = args.method
     else:
         base.setdefault("method", "lattice")
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         base["seed"] = args.seed
-    if getattr(args, "traj", None) is not None:
+    if args.traj is not None:
         base["traj"] = args.traj
-    if getattr(args, "out", None) is not None or getattr(args, "format", None) is not None:
+    if args.out is not None or args.format is not None:
         output = dict(base.get("output") or {})
-        if getattr(args, "out", None) is not None:
+        if args.out is not None:
             output["path"] = args.out
-        if getattr(args, "format", None) is not None:
+        if args.format is not None:
             output["format"] = args.format
         base["output"] = output
     if "kraus" not in base:
@@ -205,14 +205,6 @@ def _config_from_args(args) -> RunConfig:
 
 
 def _cmd_dist(args) -> int:
-    return run(_config_from_args(args))
-
-
-def _cmd_sample(args) -> int:
-    if args.method is None:
-        args.method = "trajectory"
-    if args.method != "trajectory":
-        raise ParameterError("sample always uses the trajectory method")
     return run(_config_from_args(args))
 
 
@@ -300,7 +292,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="Monte Carlo trajectory sampling")
     _add_run_flags(p)
-    p.set_defaults(func=_cmd_sample, method=None)
+    p.set_defaults(func=_cmd_dist, method="trajectory")
 
     p = sub.add_parser("clt", help="drift and CLT variance of a pair")
     _add_kraus_flags(p)

@@ -3,8 +3,8 @@
 Matrices are plain complex numpy arrays of shape (2, 2). A superoperator is a
 (4, 4) complex array acting on row-major vectorized matrices: vec(A) is
 A.reshape(4), so vec(M A N) = kron(M, N.T) vec(A). With this convention the
-left multiplication A -> BA is kron(B, I) and the right multiplication
-A -> AB is kron(I, B.T).
+branch A -> BAB* is kron(B, conj(B)), and a stack of blocks held as vec rows
+v of shape (m, 4) maps to v @ kron(B, conj(B)).T.
 """
 
 from __future__ import annotations
@@ -109,20 +109,22 @@ def devectorize(v: np.ndarray) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape(2, 2)
 
 
-def left_mult(B: np.ndarray) -> np.ndarray:
-    """Superoperator of A -> BA."""
-    return np.kron(as_mat2(B), I2)
+def vec_trace(v: np.ndarray) -> np.ndarray:
+    """Real trace of each vectorized block: shape (..., 4) -> (...)."""
+    return (v[..., 0] + v[..., 3]).real
 
 
-def right_mult(B: np.ndarray) -> np.ndarray:
-    """Superoperator of A -> AB."""
-    return np.kron(I2, as_mat2(B).T)
+def branch_superoperators(kp: KrausPair) -> tuple[np.ndarray, np.ndarray]:
+    """The two branch maps rho -> B rho B* and rho -> C rho C*:
+    (kron(B, conj(B)), kron(C, conj(C)))."""
+    B, C = kp
+    return np.kron(B, B.conj()), np.kron(C, C.conj())
 
 
 def channel_superoperator(kp: KrausPair) -> np.ndarray:
-    """Matrix of the CP map: L_B R_{B*} + L_C R_{C*} = kron(B, conj(B)) + kron(C, conj(C))."""
-    B, C = kp
-    return np.kron(B, B.conj()) + np.kron(C, C.conj())
+    """Matrix of the CP map rho -> B rho B* + C rho C*, the sum of the two branches."""
+    SB, SC = branch_superoperators(kp)
+    return SB + SC
 
 
 def adjoint_channel_superoperator(kp: KrausPair) -> np.ndarray:
@@ -132,11 +134,6 @@ def adjoint_channel_superoperator(kp: KrausPair) -> np.ndarray:
     Hilbert-Schmidt inner product <A, B> = Tr(A*B).
     """
     return channel_superoperator(kp).conj().T
-
-
-def hs_inner(A: np.ndarray, B: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product Tr(A*B)."""
-    return complex(np.trace(A.conj().T @ B))
 
 
 def random_kraus_pair(rng: np.random.Generator) -> KrausPair:

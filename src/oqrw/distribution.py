@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 NEGATIVE_TOL = -1e-12
@@ -105,11 +103,6 @@ class Distribution:
 
     def to_json_dict(self) -> dict:
         return {"x": [int(x) for x in self.sites], "p": [float(p) for p in self.probs]}
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh)
-            fh.write("\n")
 
     @classmethod
     def from_json_dict(cls, data) -> "Distribution":

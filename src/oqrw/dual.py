@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import I2, MAX_SITES, KrausPair, density_matrix, devectorize
-from .distribution import Distribution
+from .distribution import NEGATIVE_TOL, Distribution
 from .exceptions import ResidueError, SizeError
 
 IMAG_RESIDUE_TOL = 1e-9
@@ -69,7 +69,8 @@ def _invert_traces(phi: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Invert grid samples of the trace polynomial to site probabilities.
 
     phi[j] = Tr(rho0 Y_n(k_j)) on the N-point grid. Returns (sites, p) for
-    x in [-n, n]; raises ResidueError if any imaginary residue exceeds 1e-9.
+    x in [-n, n]; raises ResidueError if any imaginary residue exceeds 1e-9
+    or any real coefficient lies below NEGATIVE_TOL.
     """
     coeff = np.fft.ifft(phi)
     sites = np.arange(-n, n + 1, dtype=np.int64)
@@ -77,6 +78,9 @@ def _invert_traces(phi: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     worst = float(np.max(np.abs(p.imag), initial=0.0))
     if worst > IMAG_RESIDUE_TOL:
         raise ResidueError(f"imaginary residue {worst:.3e} exceeds {IMAG_RESIDUE_TOL}")
+    lowest = float(np.min(p.real, initial=0.0))
+    if lowest < NEGATIVE_TOL:
+        raise ResidueError(f"negative coefficient {lowest:.3e} below {NEGATIVE_TOL}")
     return sites, p.real
 
 

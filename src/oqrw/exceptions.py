@@ -24,7 +24,7 @@ class SumError(OqrwError):
 
 
 class ResidueError(OqrwError):
-    """Fourier inversion left a non-negligible imaginary residue."""
+    """Fourier inversion left a non-negligible imaginary residue or a negative coefficient."""
 
 
 class NonUniqueInvariant(OqrwError):

@@ -1,11 +1,11 @@
 """Direct density-matrix evolution of the walk on the integer lattice.
 
 The state at time n is the block-diagonal density matrix
-rho = sum_x rho_x (x) |x><x|, stored as the finite ordered map
-site -> positive 2x2 block (sites and blocks in parallel arrays). One step
-sends the block at x to B rho_{x+1} B* + C rho_{x-1} C*, with missing
-neighbors treated as zero. Blocks carry their unnormalized trace, which is the
-site probability.
+rho = sum_x rho_x (x) |x><x|, stored as a window of row-major vec rows: row i
+holds vec(rho_{lo+i}). One step sends the block at x to
+B rho_{x+1} B* + C rho_{x-1} C*, which on vec rows is two (m, 4) @ (4, 4)
+products with core.branch_superoperators written into shifted slices. Blocks
+carry their unnormalized trace, which is the site probability.
 """
 
 from __future__ import annotations
@@ -14,7 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_SITES, KrausPair, density_matrix, mat2_from_json, mat2_to_json
+from .core import (
+    MAX_SITES,
+    KrausPair,
+    branch_superoperators,
+    density_matrix,
+    devectorize,
+    vec_trace,
+    vectorize,
+)
 from .distribution import Distribution
 from .exceptions import SizeError, SumError
 
@@ -23,75 +31,55 @@ PRUNE_TRACE = 1e-16
 
 @dataclass(frozen=True)
 class LatticeState:
-    """Immutable snapshot: sorted sites, (m, 2, 2) blocks, step counter."""
+    """Immutable snapshot: first site lo, (m, 4) vec rows, step counter."""
 
-    sites: np.ndarray
-    blocks: np.ndarray
+    lo: int
+    vecs: np.ndarray
     step_count: int
 
     def block(self, x: int) -> np.ndarray:
-        i = np.searchsorted(self.sites, x)
-        if i < self.sites.size and self.sites[i] == x:
-            return self.blocks[i]
+        i = x - self.lo
+        if 0 <= i < len(self.vecs):
+            return devectorize(self.vecs[i])
         return np.zeros((2, 2), dtype=complex)
 
     def support(self) -> tuple[int, int]:
-        return int(self.sites.min()), int(self.sites.max())
-
-    def total_trace(self) -> float:
-        return float(np.trace(self.blocks, axis1=1, axis2=2).sum().real)
-
-    def to_json_dict(self) -> dict:
-        return {str(int(x)): mat2_to_json(b) for x, b in zip(self.sites, self.blocks)}
-
-
-def lattice_state_from_json(data: dict, step_count: int = 0) -> LatticeState:
-    sites = np.array(sorted(int(k) for k in data), dtype=np.int64)
-    blocks = np.stack([mat2_from_json(data[str(int(x))]) for x in sites])
-    return LatticeState(sites, blocks, step_count)
+        return self.lo, self.lo + len(self.vecs) - 1
 
 
 def initial_state(rho0, site: int = 0) -> LatticeState:
     """Single validated block rho0 at `site`, step count 0."""
-    rho0 = density_matrix(rho0)
-    return LatticeState(
-        np.array([site], dtype=np.int64),
-        rho0[np.newaxis].copy(),
-        0,
-    )
-
-
-def step(kp: KrausPair, s: LatticeState) -> LatticeState:
-    """One application of the walk map."""
-    B, C = kp
-    Bd, Cd = B.conj().T, C.conj().T
-    left = B[np.newaxis] @ s.blocks @ Bd[np.newaxis]    # lands at site - 1
-    right = C[np.newaxis] @ s.blocks @ Cd[np.newaxis]   # lands at site + 1
-    lo, hi = s.support()
-    grid = np.arange(lo - 1, hi + 2, dtype=np.int64)
-    blocks = np.zeros((grid.size, 2, 2), dtype=complex)
-    np.add.at(blocks, np.searchsorted(grid, s.sites - 1), left)
-    np.add.at(blocks, np.searchsorted(grid, s.sites + 1), right)
-    keep = np.trace(blocks, axis1=1, axis2=2).real >= PRUNE_TRACE
-    return LatticeState(grid[keep], blocks[keep], s.step_count + 1)
+    return LatticeState(site, vectorize(density_matrix(rho0))[np.newaxis].copy(), 0)
 
 
 def evolve(kp: KrausPair, s0: LatticeState, n: int) -> LatticeState:
-    """n-fold composition of step.
+    """n applications of the walk map.
 
-    Raises SizeError before starting if the final support could exceed
-    MAX_SITES sites.
+    After each step, rows whose trace is below PRUNE_TRACE are zeroed and the
+    window is trimmed to the first and last rows that remain. Raises SizeError
+    before starting if the final support could exceed MAX_SITES sites.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if s0.sites.size + 2 * n > MAX_SITES:
+    if len(s0.vecs) + 2 * n > MAX_SITES:
         raise SizeError(
-            f"support may reach {s0.sites.size + 2 * n} sites, over the limit {MAX_SITES}"
+            f"support may reach {len(s0.vecs) + 2 * n} sites, over the limit {MAX_SITES}"
         )
-    s = s0
+    SBt, SCt = (S.T for S in branch_superoperators(kp))
+    lo, v = s0.lo, s0.vecs
     for _ in range(n):
-        s = step(kp, s)
-    return s
+        # Row j of the new window is site lo-1+j: B moves row i of v (site
+        # lo+i) to row i, C moves it to row i+2.
+        m = len(v)
+        w = np.zeros((m + 2, 4), dtype=complex)
+        w[:m] = v @ SBt
+        w[2:] += v @ SCt
+        keep = vec_trace(w) >= PRUNE_TRACE
+        w[~keep] = 0
+        first = int(keep.argmax())
+        lo += first - 1
+        v = w[first : m + 2 - int(keep[::-1].argmax())]
+    return LatticeState(lo, v, s0.step_count + n)
 
 
 def distribution(s: LatticeState) -> Distribution:
@@ -100,9 +88,9 @@ def distribution(s: LatticeState) -> Distribution:
     No renormalization; raises SumError when the total mass has drifted from 1
     by more than 1e-8.
     """
-    p = np.trace(s.blocks, axis1=1, axis2=2).real
+    p = vec_trace(s.vecs)
     total = p.sum()
     if abs(total - 1) > 1e-8:
         raise SumError(f"probabilities sum to {total!r}, drift {abs(total - 1):.3e}")
     keep = p > 0
-    return Distribution((s.sites[keep], p[keep]))
+    return Distribution((s.lo + np.flatnonzero(keep), p[keep]))

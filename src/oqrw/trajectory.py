@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KrausPair, density_matrix
+from .core import KrausPair, branch_superoperators, density_matrix, vec_trace, vectorize
 from .distribution import Distribution
 from .exceptions import DegenerateJump
 
@@ -76,28 +76,31 @@ def trajectory_step(kp: KrausPair, s: TrajectoryState, u: float) -> TrajectorySt
 
 
 def _run_chunk(kp: KrausPair, rho0: np.ndarray, n_steps: int, seed: int, lo: int, hi: int) -> np.ndarray:
-    """Final positions of trajectories lo..hi-1, shifted to counts over [-n, n]."""
+    """Final positions of trajectories lo..hi-1, shifted to counts over [-n, n].
+
+    The states are held as row-major vec rows of shape (m, 4) and branch
+    through core.branch_superoperators.
+    """
     m = hi - lo
-    B, C = kp
-    Bd, Cd = B.conj().T, C.conj().T
+    SBt, SCt = (S.T for S in branch_superoperators(kp))
     u = np.empty((m, n_steps))
     for i in range(m):
         u[i] = np.random.Generator(np.random.Philox(key=[seed, lo + i])).random(n_steps)
-    rhos = np.broadcast_to(rho0, (m, 2, 2)).copy()
+    v = np.broadcast_to(vectorize(rho0), (m, 4)).copy()
     x = np.zeros(m, dtype=np.int64)
     for t in range(n_steps):
-        cand_b = B[None] @ rhos @ Bd[None]
-        cand_c = C[None] @ rhos @ Cd[None]
-        p_b = np.trace(cand_b, axis1=1, axis2=2).real
-        p_c = np.trace(cand_c, axis1=1, axis2=2).real
+        cand_b = v @ SBt
+        cand_c = v @ SCt
+        p_b = vec_trace(cand_b)
+        p_c = vec_trace(cand_c)
         if np.any((p_b < DEGENERATE_TOL) & (p_c < DEGENERATE_TOL)):
             raise DegenerateJump("both branch probabilities vanish")
         take_b = u[:, t] < p_b
         take_b &= p_b >= DEGENERATE_TOL
         take_b |= p_c < DEGENERATE_TOL
         denom = np.where(take_b, p_b, p_c)
-        rhos = np.where(take_b[:, None, None], cand_b, cand_c) / denom[:, None, None]
-        rhos = (rhos + rhos.conj().transpose(0, 2, 1)) / 2
+        v = np.where(take_b[:, None], cand_b, cand_c) / denom[:, None]
+        v = (v + v[:, [0, 2, 1, 3]].conj()) / 2  # Hermitian part: vec(rho*) permutes 1 and 2
         x += np.where(take_b, -1, 1)
     return np.bincount(x + n_steps, minlength=2 * n_steps + 1)
 

@@ -100,6 +100,16 @@ def test_sample_requires_seed_and_traj(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_sample_ignores_config_method(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    assert cli.main(["init-example", "ex5", "--steps", "4", "--method", "lattice",
+                     "--out", str(cfg)]) == 0
+    assert json.loads(cfg.read_text())["method"] == "lattice"
+    assert cli.main(["sample", "--config", str(cfg), "--seed", "1", "--traj", "100"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["n_traj"] == 100 and doc["seed"] == 1 and doc["n_steps"] == 4
+
+
 def test_clt_report(capsys):
     assert cli.main(["clt", "--example", "ex5"]) == 0
     doc = json.loads(capsys.readouterr().out)

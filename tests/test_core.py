@@ -68,11 +68,16 @@ def test_channel_preserves_trace_and_positivity(example_pair):
     assert evals.min() >= -1e-14
 
 
-def test_left_right_mult_product_rule():
+def test_branch_superoperators_are_the_two_sandwiches():
     rng = np.random.default_rng(3)
-    A, M, N = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3))
-    lhs = core.devectorize((core.left_mult(M) @ core.right_mult(N)) @ core.vectorize(A))
-    np.testing.assert_allclose(lhs, M @ A @ N, atol=1e-14)
+    kp = core.random_kraus_pair(rng)
+    A = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    SB, SC = core.branch_superoperators(kp)
+    for S, M in ((SB, kp.B), (SC, kp.C)):
+        v = S @ core.vectorize(A)
+        np.testing.assert_allclose(core.devectorize(v), M @ A @ M.conj().T, atol=1e-14)
+        assert core.vec_trace(v) == pytest.approx(np.trace(M @ A @ M.conj().T).real, abs=1e-14)
+    np.testing.assert_array_equal(SB + SC, core.channel_superoperator(kp))
 
 
 def test_adjoint_superoperator_is_hs_adjoint(example_pair):
@@ -80,8 +85,8 @@ def test_adjoint_superoperator_is_hs_adjoint(example_pair):
     rng = np.random.default_rng(11)
     A = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     X = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    lhs = core.hs_inner(core.apply_channel(example_pair, A), X)
-    rhs = core.hs_inner(A, core.apply_adjoint_channel(example_pair, X))
+    lhs = np.trace(core.apply_channel(example_pair, A).conj().T @ X)
+    rhs = np.trace(A.conj().T @ core.apply_adjoint_channel(example_pair, X))
     assert lhs == pytest.approx(rhs, abs=1e-13)
     S = core.channel_superoperator(example_pair)
     np.testing.assert_allclose(

@@ -111,6 +111,11 @@ def test_invert_traces_residue_guard():
     phi = np.exp(1j * 2 * np.pi * np.arange(8) / 8) * (1 + 0.5j)
     with pytest.raises(ResidueError):
         dual._invert_traces(phi, 3)
+    # a real spectrum with a coefficient below NEGATIVE_TOL is refused, not filtered
+    coeff = np.zeros(8)
+    coeff[0], coeff[1] = 1.0 + 1e-11, -1e-11
+    with pytest.raises(ResidueError, match="negative"):
+        dual._invert_traces(np.fft.fft(coeff), 3)
 
 
 def test_characteristic_function_scalar_and_array(ex5_pair, rho_half):

@@ -83,13 +83,19 @@ def test_sample_is_statistically_consistent(rho_half):
 
 def test_sample_single_trajectory_matches_scalar_stepping(ex5_pair, rho_half):
     """The batched path must reproduce the scalar trajectory_step chain."""
-    seed, steps = 4242, 15
-    rep = trajectory.sample(ex5_pair, rho_half, steps, 1, seed=seed)
-    u = np.random.Generator(np.random.Philox(key=[seed, 0])).random(steps)
-    s = trajectory.TrajectoryState(rho_half, 0)
-    for t in range(steps):
-        s = trajectory.trajectory_step(ex5_pair, s, float(u[t]))
-    assert list(rep.empirical.sites) == [s.x]
+    seed, steps, n_traj = 4242, 40, 64
+    for kp in (ex5_pair, make_random_pairs(1, seed=17)[0]):
+        rep = trajectory.sample(kp, rho_half, steps, n_traj, seed=seed)
+        ends = []
+        for i in range(n_traj):
+            u = np.random.Generator(np.random.Philox(key=[seed, i])).random(steps)
+            s = trajectory.TrajectoryState(rho_half, 0)
+            for t in range(steps):
+                s = trajectory.trajectory_step(kp, s, float(u[t]))
+            ends.append(s.x)
+        sites, counts = np.unique(ends, return_counts=True)
+        np.testing.assert_array_equal(rep.empirical.sites, sites)
+        np.testing.assert_array_equal(np.rint(rep.empirical.probs * n_traj), counts)
 
 
 def test_sample_input_validation(ex5_pair, rho_half):
