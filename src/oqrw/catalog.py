@@ -181,15 +181,11 @@ def closed_form(spec: ExampleSpec, rho0_diag, n: int) -> Distribution:
     if n == 0:
         return Distribution({0: 1.0})
 
-    from scipy.stats import binom
-
     # Accumulate on the even sublattice: coeff[i] is the mass at x = 2i - n.
     coeff = np.zeros(n + 1)
-    ls = np.arange(n + 1)
     if spec.id == "ex1":
-        p = par["p"]
         coeff[0] += a
-        np.add.at(coeff, n - ls, b * binom.pmf(ls, n, p))
+        coeff += b * _binom_pmf(n, par["p"])[::-1]
     elif spec.id == "ex4":
         eps, theta = par["eps"], par["theta"]
         ae = math.sqrt(0.5 - eps * eps)
@@ -198,8 +194,7 @@ def closed_form(spec: ExampleSpec, rho0_diag, n: int) -> Distribution:
         U = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
         w = U @ np.diag([a, b]) @ U.conj().T
         a1, a2 = w[0, 0].real, w[1, 1].real
-        mix = a1 * binom.pmf(ls, n, lam_p) + a2 * binom.pmf(ls, n, lam_m)
-        np.add.at(coeff, n - ls, mix)
+        coeff += (a1 * _binom_pmf(n, lam_p) + a2 * _binom_pmf(n, lam_m))[::-1]
     else:
         gamma = par["gamma"]
         pt = par["p"] - gamma**2 / 2
@@ -210,22 +205,40 @@ def closed_form(spec: ExampleSpec, rho0_diag, n: int) -> Distribution:
     return Distribution((sites[keep], coeff[keep]))
 
 
+def _binom_pmf(j: int, r: float) -> np.ndarray:
+    """Binomial(j, r) probabilities of l = 0..j, formed in log space.
+
+    log(pmf_l / pmf_m) is summed outward from the mode m over the log ratios
+    log(pmf_(l+1) / pmf_l), which keeps the partial sums small where the mass
+    is, and the weights are normalized to sum to 1. The bulk of the law is
+    then accurate to a few ulps, and large j neither overflows nor underflows
+    where the law has mass.
+    """
+    x = np.zeros(j + 1)
+    if r <= 0.0 or r >= 1.0:
+        x[0 if r <= 0.0 else j] = 1.0  # degenerate: log r or log(1 - r) is -inf
+        return x
+    l = np.arange(j)
+    ratio = np.log((j - l) / (l + 1.0)) + (math.log(r) - math.log1p(-r))
+    m = min(int((j + 1) * r), j)
+    x[m + 1 :] = np.cumsum(ratio[m:])
+    x[:m] = -np.cumsum(ratio[:m][::-1])[::-1]
+    w = np.exp(x)
+    return w / w.sum()
+
+
 def _ex3_accumulate(coeff: np.ndarray, a: float, b: float, pt: float, qt: float, gamma: float, n: int) -> None:
     """Add the ex3 law at time n >= 1 into coeff, the mass at x = 2i - n."""
-    from scipy.stats import binom
-
     coeff[0] += a
     g2 = gamma * gamma
     w = pt + qt
     if w > 0:
         r = pt / w
         for j in range(n):
-            l = np.arange(j + 1)
             # C(j,l) pt^l qt^(j-l) = w^j Binomial(j, pt/w).pmf(l), stable for
-            # large j where the raw powers under/overflow.
-            np.add.at(coeff, j - l + 1, b * g2 * w**j * binom.pmf(l, j, r))
-        l = np.arange(n + 1)
-        np.add.at(coeff, n - l, b * w**n * binom.pmf(l, n, r))
+            # large j where the raw powers under/overflow; l lands at j - l + 1.
+            coeff[1 : j + 2] += (b * g2 * w**j * _binom_pmf(j, r))[::-1]
+        coeff += (b * w**n * _binom_pmf(n, r))[::-1]
     else:
         # pt = qt = 0: the only surviving dressing term is j = 0.
         coeff[1] += b * g2

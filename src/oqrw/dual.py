@@ -7,9 +7,12 @@ gives Y_n(k), and
     p_x = (1/2pi) integral over (-pi, pi] of e^{ikx} Tr(rho0 Y_n(k)) dk.
 
 Tr(rho0 Y_n(k)) is a trigonometric polynomial of degree at most n, so an
-N-point discrete Fourier sum with N >= 2n+1 evaluates the integral exactly up
-to rounding. The initial state never enters the k-evolution; it appears only
-in the final trace.
+N-point discrete Fourier sum with N = 2n+2 >= 2n+1 evaluates the integral
+exactly up to rounding. The coefficients p_x are real, so the trace at 2pi - k
+is the conjugate of the trace at k: only the n+2 nodes in [0, pi] are evolved,
+and a real inverse FFT recovers p. A few mirrored nodes in (pi, 2pi) are
+evolved as well, to check that symmetry. The initial state never enters the
+k-evolution; it appears only in the final trace.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from .core import I2, MAX_SITES, KrausPair, density_matrix, devectorize
 from .distribution import NEGATIVE_TOL, Distribution
 from .exceptions import ResidueError, SizeError
 
-IMAG_RESIDUE_TOL = 1e-9
+SYMMETRY_TOL = 1e-9
+SYMMETRY_PROBES = 8
 
 
 def dual_symbol(kp: KrausPair, k) -> np.ndarray:
@@ -43,20 +47,21 @@ def _check_steps(n: int) -> None:
 
 def _power_vecs(symbols: np.ndarray, n: int) -> np.ndarray:
     """vec(Y_n) at every node: the n-th power of each stacked symbol applied
-    to vec(I), by square-and-multiply (log n batched matmuls).
+    to vec(I), by square-and-multiply.
 
-    Conjugate symmetry between the k and -k nodes is preserved exactly.
+    The vectors accumulate the powers S^(2^i) for the set bits of n, one
+    matrix-vector product per bit; only the squarings are batched 4x4
+    products. Powers of one symbol commute, so the order does not matter.
     """
-    power = None
+    v = np.broadcast_to(I2.reshape(4), (symbols.shape[0], 4)).astype(complex)
     base = symbols
     while n:
         if n & 1:
-            power = base if power is None else base @ power
+            v = np.einsum("nij,nj->ni", base, v)
         n >>= 1
         if n:
             base = base @ base
-    v = np.broadcast_to(I2.reshape(4), (symbols.shape[0], 4)).astype(complex)
-    return v if power is None else np.einsum("nij,nj->ni", power, v)
+    return v
 
 
 def dual_power(kp: KrausPair, k: float, n: int) -> np.ndarray:
@@ -65,33 +70,44 @@ def dual_power(kp: KrausPair, k: float, n: int) -> np.ndarray:
     return devectorize(_power_vecs(dual_symbol(kp, [k]), n)[0])
 
 
-def _invert_traces(phi: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Invert grid samples of the trace polynomial to site probabilities.
+def _probe_indices(n: int) -> np.ndarray:
+    """Grid indices j in [1, n] whose mirrored nodes 2pi - k_j are checked:
+    at most SYMMETRY_PROBES of them, spread evenly over (0, pi)."""
+    if n == 0:
+        return np.zeros(0, dtype=np.int64)  # the grid {0, pi} has no interior node
+    return np.unique(np.rint(np.linspace(1, n, SYMMETRY_PROBES)).astype(np.int64))
 
-    phi[j] = Tr(rho0 Y_n(k_j)) on the N-point grid. Returns (sites, p) for
-    x in [-n, n]; raises ResidueError if any imaginary residue exceeds 1e-9
-    or any real coefficient lies below NEGATIVE_TOL.
+
+def _invert_traces(phi: np.ndarray, mirrored: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Invert half-grid samples of the trace polynomial to site probabilities.
+
+    phi[j] = Tr(rho0 Y_n(k_j)) at the n+2 nodes k_j = 2pi j / (2n+2) in
+    [0, pi]; mirrored holds the trace at 2pi - k_j for j in _probe_indices(n).
+    Returns (sites, p) for x in [-n, n]; raises ResidueError if a mirrored
+    value differs from conj(phi[j]) by more than SYMMETRY_TOL or any
+    coefficient lies below NEGATIVE_TOL.
     """
-    coeff = np.fft.ifft(phi)
+    defect = float(np.max(np.abs(mirrored - phi[_probe_indices(n)].conj()), initial=0.0))
+    if defect > SYMMETRY_TOL:
+        raise ResidueError(f"conjugate-symmetry defect {defect:.3e} exceeds {SYMMETRY_TOL}")
+    size = 2 * n + 2
     sites = np.arange(-n, n + 1, dtype=np.int64)
-    p = coeff[np.mod(sites, phi.size)]
-    worst = float(np.max(np.abs(p.imag), initial=0.0))
-    if worst > IMAG_RESIDUE_TOL:
-        raise ResidueError(f"imaginary residue {worst:.3e} exceeds {IMAG_RESIDUE_TOL}")
-    lowest = float(np.min(p.real, initial=0.0))
+    p = np.fft.irfft(phi, size)[np.mod(sites, size)]
+    lowest = float(np.min(p, initial=0.0))
     if lowest < NEGATIVE_TOL:
         raise ResidueError(f"negative coefficient {lowest:.3e} below {NEGATIVE_TOL}")
-    return sites, p.real
+    return sites, p
 
 
 def distribution_via_dual(kp: KrausPair, rho0, n: int) -> Distribution:
     """Exact walk distribution at time n by dual evolution plus inversion."""
     _check_steps(n)
     rho0 = density_matrix(rho0)
-    nodes = 2 * np.pi * np.arange(2 * n + 2) / (2 * n + 2)
-    v = _power_vecs(dual_symbol(kp, nodes), n)
+    size = 2 * n + 2
+    index = np.concatenate([np.arange(n + 2), size - _probe_indices(n)])
+    v = _power_vecs(dual_symbol(kp, 2 * np.pi * index / size), n)
     phi = v @ rho0.T.reshape(4)  # Tr(rho0 Y) = vec(rho0^T) . vec(Y)
-    sites, p = _invert_traces(phi, n)
+    sites, p = _invert_traces(phi[: n + 2], phi[n + 2 :], n)
     keep = p >= 1e-16
     return Distribution((sites[keep], p[keep]))
 

@@ -24,7 +24,8 @@ class SumError(OqrwError):
 
 
 class ResidueError(OqrwError):
-    """Fourier inversion left a non-negligible imaginary residue or a negative coefficient."""
+    """Fourier inversion failed a check: the traces at mirrored nodes are not
+    conjugate (symmetry defect above 1e-9) or a coefficient is negative."""
 
 
 class NonUniqueInvariant(OqrwError):

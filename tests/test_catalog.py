@@ -124,6 +124,15 @@ def test_ex1_lower_start_is_binomial():
         assert d.prob(n - 2 * l) == pytest.approx(binom.pmf(l, n, 0.5), abs=1e-15)
 
 
+def test_binom_pmf_matches_scipy():
+    # degenerate r included: the log-space form must not warn on log(0)
+    with np.errstate(all="raise", under="ignore"):
+        for r in (0.0, 1e-9, 0.1, 0.3, 0.5, 0.77, 1.0):
+            for j in (0, 1, 2, 12, 100, 999, 3000):
+                want = binom.pmf(np.arange(j + 1), j, r)
+                assert np.abs(catalog._binom_pmf(j, r) - want).max() <= 1e-13
+
+
 @pytest.mark.parametrize(
     "text,rho0",
     [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oqrw import catalog, dual, lattice
-from oqrw.distribution import compare
+from oqrw.distribution import Distribution, compare
 from oqrw.core import I2
 from oqrw.exceptions import ResidueError, SizeError
 
@@ -106,16 +106,53 @@ def test_grid_size_guard(ex5_pair):
         dual.dual_power(ex5_pair, 0.3, 10**8)
 
 
+def _full_grid_laws(kp, rho0s, n):
+    """The laws from all 2n+2 nodes in [0, 2pi), the symbol applied one step
+    at a time and a complex inverse FFT: the reference for the half grid."""
+    size = 2 * n + 2
+    sym = dual.dual_symbol(kp, 2 * np.pi * np.arange(size) / size)
+    v = np.broadcast_to(I2.reshape(4), (size, 4)).astype(complex)[..., None]
+    for _ in range(n):
+        v = sym @ v
+    sites = np.arange(-n, n + 1)
+    for rho0 in rho0s:
+        p = np.fft.ifft(v[..., 0] @ rho0.T.reshape(4))[np.mod(sites, size)].real
+        keep = p >= 1e-16
+        yield Distribution((sites[keep], p[keep]))
+
+
+def test_half_grid_matches_full_grid(rho_half):
+    rho0s = (rho_half, np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]))
+    pairs = [catalog.build(spec) for spec in catalog.all_examples()] + make_random_pairs(3, seed=29)
+    for kp in pairs:
+        for n in (0, 1, 2, 7, 63, 64, 1000):
+            for rho0, want in zip(rho0s, _full_grid_laws(kp, rho0s, n)):
+                got = dual.distribution_via_dual(kp, rho0, n)
+                assert compare(got, want)["max_abs"] <= 1e-13
+
+
+def test_symmetry_guard_flags_corrupted_mirror_nodes(monkeypatch, example_pair, rho_half):
+    clean = dual.dual_symbol
+
+    def corrupted(kp, k):
+        # perturb every symbol beyond pi, which only the mirrored check nodes reach
+        return clean(kp, k) + 1e-6 * (np.asarray(k) > np.pi)[..., None, None]
+
+    for n in (1, 7, 40):
+        dual.distribution_via_dual(example_pair, rho_half, n)
+    monkeypatch.setattr(dual, "dual_symbol", corrupted)
+    for n in (1, 7, 40):
+        with pytest.raises(ResidueError, match="conjugate-symmetry defect"):
+            dual.distribution_via_dual(example_pair, rho_half, n)
+
+
 def test_invert_traces_residue_guard():
-    # an asymmetric spectrum not of the Y_n form leaves an imaginary residue
-    phi = np.exp(1j * 2 * np.pi * np.arange(8) / 8) * (1 + 0.5j)
-    with pytest.raises(ResidueError):
-        dual._invert_traces(phi, 3)
     # a real spectrum with a coefficient below NEGATIVE_TOL is refused, not filtered
     coeff = np.zeros(8)
     coeff[0], coeff[1] = 1.0 + 1e-11, -1e-11
+    phi = np.fft.fft(coeff)
     with pytest.raises(ResidueError, match="negative"):
-        dual._invert_traces(np.fft.fft(coeff), 3)
+        dual._invert_traces(phi[:5], phi[8 - dual._probe_indices(3)], 3)
 
 
 def test_characteristic_function_scalar_and_array(ex5_pair, rho_half):

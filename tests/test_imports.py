@@ -5,15 +5,31 @@ from pathlib import Path
 import oqrw
 
 
+def _run(code: str) -> str:
+    """Run code in a fresh interpreter that imports this source tree."""
+    src = str(Path(oqrw.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
+    ).stdout.strip()
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # scipy is imported lazily by the few functions that need it, so starting
     # the command line does not pay for it
     code = "import sys, oqrw.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    src = str(Path(oqrw.__file__).resolve().parent.parent)
-    out = subprocess.run(
-        [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
-    ).stdout
-    assert out.strip() == "[]"
+    assert _run(code) == "[]"
+
+
+def test_closed_form_leaves_scipy_stats_unloaded():
+    # the closed-form binomials are formed with numpy, not scipy.stats
+    code = (
+        "import sys\n"
+        "from oqrw import catalog\n"
+        "for ident in ('ex1', 'ex3', 'ex4'):\n"
+        "    catalog.closed_form(catalog.ExampleSpec(ident), (0.5, 0.5), 40)\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy.stats' or m.startswith('scipy.stats.')))"
+    )
+    assert _run(code) == "[]"
 
 
 def test_distribution_module_is_not_shadowed():
