@@ -22,8 +22,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import KrausPair, validate_kraus_pair
-from .distribution import Distribution
+from .core import KrausPair, check_size, validate_kraus_pair
+from .distribution import Distribution, finalize
 from .exceptions import ParameterError, SizeError, UnsupportedExample
 
 _DEFAULTS: dict[str, dict[str, float]] = {
@@ -168,7 +168,8 @@ def closed_form(spec: ExampleSpec, rho0_diag, n: int) -> Distribution:
           lam+- = 1/2 +- 2 eps a(eps) cos(theta)
 
     ex2 and ex5 have no finite closed form here; use the lattice or dual
-    engines (or cut_unfold_distribution for ex5).
+    engines (or cut_unfold_distribution for ex5). The coefficients pass
+    through distribution.finalize, like the engines' laws.
     """
     par = _merged_params(spec)
     a, b = _check_diag(rho0_diag)
@@ -178,6 +179,7 @@ def closed_form(spec: ExampleSpec, rho0_diag, n: int) -> Distribution:
         raise UnsupportedExample(f"{spec.id} has no closed-form law; use the engines")
     if spec.id not in ("ex1", "ex3", "ex4"):
         raise ParameterError(f"unknown example {spec.id!r}")
+    check_size(n + 1, "closed-form coefficients")
     if n == 0:
         return Distribution({0: 1.0})
 
@@ -200,9 +202,7 @@ def closed_form(spec: ExampleSpec, rho0_diag, n: int) -> Distribution:
         pt = par["p"] - gamma**2 / 2
         qt = (1.0 - par["p"]) - gamma**2 / 2
         _ex3_accumulate(coeff, a, b, pt, qt, gamma, n)
-    sites = 2 * np.arange(n + 1) - n
-    keep = coeff > 0
-    return Distribution((sites[keep], coeff[keep]))
+    return finalize(2 * np.arange(n + 1) - n, coeff, n)
 
 
 def _binom_pmf(j: int, r: float) -> np.ndarray:

@@ -13,16 +13,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import NormalizationError
+from .exceptions import NormalizationError, SizeError
 
 KRAUS_TOL = 1e-12
 HERMITIAN_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-12
 TRACE_TOL = 1e-12
-# Largest site count (lattice) or Fourier node count (dual) an engine allocates.
+# Largest number of sites, Fourier nodes, count bins or coefficients that one
+# engine array may hold; see check_size.
 MAX_SITES = 1_000_000
 
 I2 = np.eye(2, dtype=complex)
+
+
+def check_size(count: int, what: str) -> None:
+    """Raise SizeError before an array of `count` entries of `what` is
+    allocated, when count exceeds MAX_SITES (read at call time)."""
+    if count > MAX_SITES:
+        raise SizeError(f"{count} {what} exceed the limit {MAX_SITES}")
 
 
 def as_mat2(a) -> np.ndarray:

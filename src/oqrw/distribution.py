@@ -4,16 +4,20 @@ from __future__ import annotations
 
 import numpy as np
 
-NEGATIVE_TOL = -1e-12
+from .exceptions import ResidueError, SumError
+
+# The noise floor of a time-n exact law is ROUNDOFF_SCALE * (n + 1) * eps:
+# the roundoff of every exact route grows about linearly in n.
+ROUNDOFF_SCALE = 1.0
+MASS_TOL = 1e-8
 
 
 class Distribution:
     """Finite probability measure on the integers.
 
-    Stores sites and weights as parallel arrays sorted by site. Weights in
-    [-1e-12, 0) are clipped to 0 on construction; anything more negative is
-    rejected. No mass normalization is applied here: the producing operation
-    is responsible for its own sum check.
+    Stores sites and weights as parallel arrays sorted by site. A negative
+    weight is rejected on construction. No mass normalization or flooring is
+    applied here: the exact engines pass their weights through finalize.
     """
 
     __slots__ = ("sites", "probs")
@@ -31,9 +35,8 @@ class Distribution:
             sites, probs = sites[order], probs[order]
         if sites.size != np.unique(sites).size:
             raise ValueError("duplicate sites")
-        if probs.size and probs.min() < NEGATIVE_TOL:
+        if probs.size and probs.min() < 0:
             raise ValueError(f"negative probability {probs.min():.3e}")
-        probs = np.where(probs < 0, 0.0, probs)
         self.sites = sites
         self.probs = probs
 
@@ -107,6 +110,27 @@ class Distribution:
     @classmethod
     def from_json_dict(cls, data) -> "Distribution":
         return cls((data["x"], data["p"]))
+
+
+def finalize(sites, p, n: int) -> Distribution:
+    """The reported law of an exact engine: site weights p of a time-n law,
+    as computed, checked and floored by the one roundoff policy.
+
+    With floor = ROUNDOFF_SCALE * (n + 1) * eps, in this order: a weight below
+    -floor raises ResidueError; a total (kept plus floored mass) more than
+    MASS_TOL from 1 raises SumError; weights below floor are dropped.
+    """
+    sites = np.asarray(sites, dtype=np.int64)
+    p = np.asarray(p, dtype=float)
+    floor = ROUNDOFF_SCALE * (n + 1) * np.finfo(float).eps
+    lowest = float(p.min(initial=0.0))
+    if lowest < -floor:
+        raise ResidueError(f"negative weight {lowest:.3e} below the roundoff floor {-floor:.3e}")
+    total = float(p.sum())
+    if abs(total - 1) > MASS_TOL:
+        raise SumError(f"probabilities sum to {total!r}, drift {abs(total - 1):.3e}")
+    keep = p >= floor
+    return Distribution((sites[keep], p[keep]))
 
 
 def compare(a: Distribution, b: Distribution) -> dict:

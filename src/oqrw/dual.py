@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import I2, MAX_SITES, KrausPair, density_matrix, devectorize
-from .distribution import NEGATIVE_TOL, Distribution
-from .exceptions import ResidueError, SizeError
+from .core import I2, KrausPair, check_size, density_matrix, devectorize
+from .distribution import Distribution, finalize
+from .exceptions import ResidueError
 
 SYMMETRY_TOL = 1e-9
 SYMMETRY_PROBES = 8
@@ -41,8 +41,7 @@ def dual_symbol(kp: KrausPair, k) -> np.ndarray:
 def _check_steps(n: int) -> None:
     if n < 0:
         raise ValueError("n must be >= 0")
-    if 2 * n + 2 > MAX_SITES:
-        raise SizeError(f"{2 * n + 2} Fourier nodes exceed the limit {MAX_SITES}")
+    check_size(2 * n + 2, "Fourier nodes")
 
 
 def _power_vecs(symbols: np.ndarray, n: int) -> np.ndarray:
@@ -83,33 +82,28 @@ def _invert_traces(phi: np.ndarray, mirrored: np.ndarray, n: int) -> tuple[np.nd
 
     phi[j] = Tr(rho0 Y_n(k_j)) at the n+2 nodes k_j = 2pi j / (2n+2) in
     [0, pi]; mirrored holds the trace at 2pi - k_j for j in _probe_indices(n).
-    Returns (sites, p) for x in [-n, n]; raises ResidueError if a mirrored
-    value differs from conj(phi[j]) by more than SYMMETRY_TOL or any
-    coefficient lies below NEGATIVE_TOL.
+    Returns the raw (sites, p) for x in [-n, n], roundoff included; raises
+    ResidueError if a mirrored value differs from conj(phi[j]) by more than
+    SYMMETRY_TOL. Negative coefficients are left to distribution.finalize.
     """
     defect = float(np.max(np.abs(mirrored - phi[_probe_indices(n)].conj()), initial=0.0))
     if defect > SYMMETRY_TOL:
         raise ResidueError(f"conjugate-symmetry defect {defect:.3e} exceeds {SYMMETRY_TOL}")
     size = 2 * n + 2
     sites = np.arange(-n, n + 1, dtype=np.int64)
-    p = np.fft.irfft(phi, size)[np.mod(sites, size)]
-    lowest = float(np.min(p, initial=0.0))
-    if lowest < NEGATIVE_TOL:
-        raise ResidueError(f"negative coefficient {lowest:.3e} below {NEGATIVE_TOL}")
-    return sites, p
+    return sites, np.fft.irfft(phi, size)[np.mod(sites, size)]
 
 
 def distribution_via_dual(kp: KrausPair, rho0, n: int) -> Distribution:
-    """Exact walk distribution at time n by dual evolution plus inversion."""
+    """Exact walk distribution at time n by dual evolution plus inversion,
+    checked and floored by distribution.finalize."""
     _check_steps(n)
     rho0 = density_matrix(rho0)
     size = 2 * n + 2
     index = np.concatenate([np.arange(n + 2), size - _probe_indices(n)])
     v = _power_vecs(dual_symbol(kp, 2 * np.pi * index / size), n)
     phi = v @ rho0.T.reshape(4)  # Tr(rho0 Y) = vec(rho0^T) . vec(Y)
-    sites, p = _invert_traces(phi[: n + 2], phi[n + 2 :], n)
-    keep = p >= 1e-16
-    return Distribution((sites[keep], p[keep]))
+    return finalize(*_invert_traces(phi[: n + 2], phi[n + 2 :], n), n)
 
 
 def characteristic_function(kp: KrausPair, rho0, n: int, t, scale: float = 1.0):

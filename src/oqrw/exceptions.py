@@ -20,12 +20,14 @@ class NormalizationError(OqrwError):
 
 
 class SumError(OqrwError):
-    """Distribution mass drifted away from 1 beyond tolerance."""
+    """The total of an exact law, floored sites included, differs from 1 by
+    more than distribution.MASS_TOL (1e-8)."""
 
 
 class ResidueError(OqrwError):
-    """Fourier inversion failed a check: the traces at mirrored nodes are not
-    conjugate (symmetry defect above 1e-9) or a coefficient is negative."""
+    """An exact law failed a roundoff check: a weight lies below minus the
+    noise floor of distribution.finalize, or the dual traces at mirrored
+    nodes are not conjugate (symmetry defect above 1e-9)."""
 
 
 class NonUniqueInvariant(OqrwError):

@@ -15,16 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    MAX_SITES,
     KrausPair,
     branch_superoperators,
+    check_size,
     density_matrix,
     devectorize,
     vec_trace,
     vectorize,
 )
-from .distribution import Distribution
-from .exceptions import SizeError, SumError
+from .distribution import Distribution, finalize
 
 PRUNE_TRACE = 1e-16
 
@@ -57,14 +56,11 @@ def evolve(kp: KrausPair, s0: LatticeState, n: int) -> LatticeState:
 
     After each step, rows whose trace is below PRUNE_TRACE are zeroed and the
     window is trimmed to the first and last rows that remain. Raises SizeError
-    before starting if the final support could exceed MAX_SITES sites.
+    before starting if the final support could exceed core.MAX_SITES sites.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if len(s0.vecs) + 2 * n > MAX_SITES:
-        raise SizeError(
-            f"support may reach {len(s0.vecs) + 2 * n} sites, over the limit {MAX_SITES}"
-        )
+    check_size(len(s0.vecs) + 2 * n, "lattice sites")
     SBt, SCt = (S.T for S in branch_superoperators(kp))
     lo, v = s0.lo, s0.vecs
     for _ in range(n):
@@ -83,14 +79,10 @@ def evolve(kp: KrausPair, s0: LatticeState, n: int) -> LatticeState:
 
 
 def distribution(s: LatticeState) -> Distribution:
-    """Site probabilities p_x = Tr(rho_x).
-
-    No renormalization; raises SumError when the total mass has drifted from 1
-    by more than 1e-8.
+    """Site probabilities p_x = Tr(rho_x), without renormalization, through
+    distribution.finalize at n = s.step_count: SumError when the mass has
+    drifted from 1 by more than MASS_TOL, and sites below the noise floor
+    dropped.
     """
     p = vec_trace(s.vecs)
-    total = p.sum()
-    if abs(total - 1) > 1e-8:
-        raise SumError(f"probabilities sum to {total!r}, drift {abs(total - 1):.3e}")
-    keep = p > 0
-    return Distribution((s.lo + np.flatnonzero(keep), p[keep]))
+    return finalize(s.lo + np.arange(len(p)), p, s.step_count)

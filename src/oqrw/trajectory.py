@@ -15,18 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KrausPair, branch_superoperators, density_matrix, vec_trace, vectorize
+from .core import KrausPair, branch_superoperators, check_size, density_matrix, vec_trace, vectorize
 from .distribution import Distribution
 from .exceptions import DegenerateJump
 
 DEGENERATE_TOL = 1e-14
 CHUNK = 4096
-
-
-@dataclass(frozen=True)
-class TrajectoryState:
-    rho: np.ndarray
-    x: int
 
 
 @dataclass(frozen=True)
@@ -47,32 +41,6 @@ class SampleReport:
             "variance": self.variance,
             "distribution": self.empirical.to_json_dict(),
         }
-
-
-def trajectory_step(kp: KrausPair, s: TrajectoryState, u: float) -> TrajectoryState:
-    """One jump driven by the uniform draw u in [0, 1)."""
-    B, C = kp
-    cand_b = B @ s.rho @ B.conj().T
-    cand_c = C @ s.rho @ C.conj().T
-    p_b = float(np.trace(cand_b).real)
-    p_c = float(np.trace(cand_c).real)
-    if p_b < DEGENERATE_TOL and p_c < DEGENERATE_TOL:
-        raise DegenerateJump(f"both branch probabilities vanish (p_b={p_b:.3e}, p_c={p_c:.3e})")
-    take_b = u < p_b
-    # A branch of vanishing probability can only be selected when u sits within
-    # 1e-14 of the boundary; jump the other way deterministically instead.
-    if take_b and p_b < DEGENERATE_TOL:
-        take_b = False
-    elif not take_b and p_c < DEGENERATE_TOL:
-        take_b = True
-    if take_b:
-        rho = cand_b / p_b
-        x = s.x - 1
-    else:
-        rho = cand_c / p_c
-        x = s.x + 1
-    rho = (rho + rho.conj().T) / 2
-    return TrajectoryState(rho, x)
 
 
 def _run_chunk(kp: KrausPair, rho0: np.ndarray, n_steps: int, seed: int, lo: int, hi: int) -> np.ndarray:
@@ -112,6 +80,7 @@ def sample(kp: KrausPair, rho0, n_steps: int, n_traj: int, seed: int) -> SampleR
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
     rho0 = density_matrix(rho0)
+    check_size(2 * n_steps + 1, "count bins")
     counts = np.zeros(2 * n_steps + 1, dtype=np.int64)
     for lo in range(0, n_traj, CHUNK):
         counts += _run_chunk(kp, rho0, n_steps, seed, lo, min(lo + CHUNK, n_traj))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
-from oqrw import catalog
+from oqrw import catalog, core
 from oqrw.catalog import ExampleSpec
 from oqrw.distribution import compare
 from oqrw.exceptions import ParameterError, SizeError, UnsupportedExample
@@ -329,6 +329,15 @@ def test_cut_unfold_size_guard():
         catalog.cut_unfold_exact((0.5, 0.5), catalog.CUT_UNFOLD_MAX_STEPS + 1)
     with pytest.raises(ValueError):
         catalog.cut_unfold_exact((0.5, 0.5), -1)
+
+
+def test_closed_form_size_guard(monkeypatch):
+    # n + 1 coefficients over the bound: refused before the array is allocated
+    monkeypatch.setattr(core, "MAX_SITES", 10)
+    for ident in ("ex1", "ex3", "ex4"):
+        catalog.closed_form(ExampleSpec(ident), (0.5, 0.5), 9)
+        with pytest.raises(SizeError):
+            catalog.closed_form(ExampleSpec(ident), (0.5, 0.5), 10)
 
 
 # ---- ex2 correlated-walk recurrence ------------------------------------------

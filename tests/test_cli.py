@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from oqrw import cli
+from oqrw import cli, core
 from oqrw.core import mat2_to_json
-from oqrw.distribution import Distribution
+from oqrw.distribution import ROUNDOFF_SCALE, Distribution
 
 
 def _b_c_flags():
@@ -136,6 +136,32 @@ def test_dist_dual_size_guard_is_exit_2(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--example", "ex5", "--steps", "100", "--traj", "1", "--seed", "1"],
+        ["dist", "--method", "closed_form", "--example", "ex1", "--steps", "100"],
+    ],
+)
+def test_size_guards_are_exit_2(argv, monkeypatch, capsys):
+    # a small bound, so that a missing guard cannot allocate much
+    monkeypatch.setattr(core, "MAX_SITES", 50)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("example", ["ex3", "ex1:p=0.3"])
+def test_dist_dual_accepts_large_n(example, capsys):
+    # the FFT roundoff at n = 1e5 reaches -1.1e-12, inside the floor that grows with n
+    n = 100_000
+    assert cli.main(["dist", "--method", "dual", "--example", example, "--steps", str(n)]) == 0
+    d = Distribution.from_csv_text(capsys.readouterr().out)
+    assert d.total() == pytest.approx(1.0, abs=1e-8)
+    assert d.probs.min() >= ROUNDOFF_SCALE * (n + 1) * np.finfo(float).eps
 
 
 def test_clt_degenerate_is_exit_3(capsys):

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oqrw.distribution import Distribution, compare
+from oqrw.distribution import MASS_TOL, Distribution, compare, finalize
+from oqrw.exceptions import ResidueError, SumError
 
 
 def test_sorted_and_deduplicated():
@@ -19,10 +20,41 @@ def test_rejects_duplicate_sites():
 
 
 def test_negative_handling():
-    d = Distribution({0: 1.0, 1: -5e-13})  # tiny negative clipped
-    assert d.prob(1) == 0.0
-    with pytest.raises(ValueError):
-        Distribution({0: 1.0, 1: -1e-6})
+    # any negative weight is refused: roundoff is the business of finalize
+    assert Distribution({0: 1.0, 1: 0.0}).prob(1) == 0.0
+    for bad in (-5e-13, -1e-6):
+        with pytest.raises(ValueError):
+            Distribution({0: 1.0, 1: bad})
+
+
+def test_finalize_floor_scales_with_n():
+    eps = np.finfo(float).eps
+    sites = np.array([-1, 0, 1])
+    # at n = 0 the floor is eps: -0.5 eps is roundoff and dropped, -3 eps is refused
+    d = finalize(sites, [-0.5 * eps, 1.0, 0.5 * eps], 0)
+    assert d.items() == [(0, 1.0)]
+    with pytest.raises(ResidueError, match="negative"):
+        finalize(sites, [-3 * eps, 1.0, 0.0], 0)
+    # at n = 99 the floor is 100 eps
+    d = finalize(sites, [-50 * eps, 1.0, 150 * eps], 99)
+    assert list(d.sites) == [0, 1]
+    with pytest.raises(ResidueError):
+        finalize(sites, [-150 * eps, 1.0, 0.0], 99)
+
+
+def test_finalize_checks_mass_before_flooring():
+    with pytest.raises(SumError):
+        finalize([0, 1], [0.5, 0.5 - 2 * MASS_TOL], 4)
+    assert finalize([0, 1], [0.5, 0.5 - MASS_TOL / 2], 4).total() == pytest.approx(1.0, abs=MASS_TOL)
+    # the negativity check comes first
+    with pytest.raises(ResidueError):
+        finalize([0, 1], [1.0, -0.5], 4)
+    # floored weights count towards the total: 2e4 sites at half the floor
+    # carry 2.2e-8 of mass, while the one kept site holds exactly 1
+    n = 10**4
+    tiny = np.full(2 * 10**4, 0.5 * (n + 1) * np.finfo(float).eps)
+    with pytest.raises(SumError):
+        finalize(np.arange(tiny.size + 1), np.append(1.0, tiny), n)
 
 
 def test_mean_variance():

@@ -2,10 +2,12 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oqrw import catalog, dual, lattice
-from oqrw.distribution import Distribution, compare
-from oqrw.core import I2
+from oqrw.distribution import ROUNDOFF_SCALE, compare, finalize
+from oqrw.core import I2, random_kraus_pair
 from oqrw.exceptions import ResidueError, SizeError
 
 from conftest import brute_force_laws, make_random_pairs
@@ -108,7 +110,8 @@ def test_grid_size_guard(ex5_pair):
 
 def _full_grid_laws(kp, rho0s, n):
     """The laws from all 2n+2 nodes in [0, 2pi), the symbol applied one step
-    at a time and a complex inverse FFT: the reference for the half grid."""
+    at a time and a complex inverse FFT: the reference for the half grid,
+    floored by the same finalize step."""
     size = 2 * n + 2
     sym = dual.dual_symbol(kp, 2 * np.pi * np.arange(size) / size)
     v = np.broadcast_to(I2.reshape(4), (size, 4)).astype(complex)[..., None]
@@ -117,8 +120,7 @@ def _full_grid_laws(kp, rho0s, n):
     sites = np.arange(-n, n + 1)
     for rho0 in rho0s:
         p = np.fft.ifft(v[..., 0] @ rho0.T.reshape(4))[np.mod(sites, size)].real
-        keep = p >= 1e-16
-        yield Distribution((sites[keep], p[keep]))
+        yield finalize(sites, p, n)
 
 
 def test_half_grid_matches_full_grid(rho_half):
@@ -147,12 +149,39 @@ def test_symmetry_guard_flags_corrupted_mirror_nodes(monkeypatch, example_pair, 
 
 
 def test_invert_traces_residue_guard():
-    # a real spectrum with a coefficient below NEGATIVE_TOL is refused, not filtered
+    # a real spectrum with a coefficient below the roundoff floor is refused, not filtered
     coeff = np.zeros(8)
     coeff[0], coeff[1] = 1.0 + 1e-11, -1e-11
     phi = np.fft.fft(coeff)
+    sites, p = dual._invert_traces(phi[:5], phi[8 - dual._probe_indices(3)], 3)
     with pytest.raises(ResidueError, match="negative"):
-        dual._invert_traces(phi[:5], phi[8 - dual._probe_indices(3)], 3)
+        finalize(sites, p, 3)
+
+
+def test_negated_interior_coefficient_is_refused(ex5_pair, rho_half):
+    n = 40
+    d = dual.distribution_via_dual(ex5_pair, rho_half, n)
+    p = d.probs.copy()
+    p[len(p) // 2] *= -1
+    finalize(d.sites, d.probs, n)
+    with pytest.raises(ResidueError, match="negative"):
+        finalize(d.sites, p, n)
+
+
+RHO0S = (np.eye(2) / 2, np.diag([1.0, 0.0]), np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 300), st.sampled_from(RHO0S))
+def test_lattice_and_dual_report_the_same_support(seed, n, rho0):
+    kp = random_kraus_pair(np.random.default_rng(seed))
+    lat = lattice.distribution(lattice.evolve(kp, lattice.initial_state(rho0), n))
+    dua = dual.distribution_via_dual(kp, rho0, n)
+    assert compare(lat, dua)["max_abs"] <= 1e-12
+    # a site one engine keeps and the other floors lies within a factor 2 of the floor
+    floor = ROUNDOFF_SCALE * (n + 1) * np.finfo(float).eps
+    for x in np.setxor1d(lat.sites, dua.sites):
+        assert floor / 2 <= max(lat.prob(int(x)), dua.prob(int(x))) <= 2 * floor
 
 
 def test_characteristic_function_scalar_and_array(ex5_pair, rho_half):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oqrw import catalog, lattice
+from oqrw import catalog, core, lattice
 from oqrw.core import validate_kraus_pair
 from oqrw.distribution import compare
 from oqrw.exceptions import SizeError, SumError
@@ -70,13 +70,18 @@ def test_parity_support(example_pair, rho_half):
     assert all((x + 7) % 2 == 0 for x in d.sites)
 
 
-def test_evolve_rejects_negative_and_oversize(rho_half):
+def test_evolve_rejects_negative_and_oversize(rho_half, monkeypatch):
     kp = hadamard_like()
     s = lattice.initial_state(rho_half)
     with pytest.raises(ValueError):
         lattice.evolve(kp, s, -1)
     with pytest.raises(SizeError):
         lattice.evolve(kp, s, 10**6)
+    # the bound is read when the call is made
+    monkeypatch.setattr(core, "MAX_SITES", 9)
+    lattice.evolve(kp, s, 4)
+    with pytest.raises(SizeError):
+        lattice.evolve(kp, s, 5)
 
 
 def test_distribution_guards_mass_loss(rho_half):

@@ -1,20 +1,56 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
-from oqrw import dual, trajectory
-from oqrw.core import validate_kraus_pair
+from oqrw import core, dual, trajectory
+from oqrw.core import KrausPair, validate_kraus_pair
 from oqrw.distribution import compare
-from oqrw.exceptions import DegenerateJump
+from oqrw.exceptions import DegenerateJump, SizeError
+from oqrw.trajectory import DEGENERATE_TOL
 
 from conftest import make_random_pairs
 
 
+@dataclass(frozen=True)
+class TrajectoryState:
+    rho: np.ndarray
+    x: int
+
+
+def trajectory_step(kp: KrausPair, s: TrajectoryState, u: float) -> TrajectoryState:
+    """One jump driven by the uniform draw u in [0, 1): the scalar oracle for
+    the batched kernel in trajectory.sample."""
+    B, C = kp
+    cand_b = B @ s.rho @ B.conj().T
+    cand_c = C @ s.rho @ C.conj().T
+    p_b = float(np.trace(cand_b).real)
+    p_c = float(np.trace(cand_c).real)
+    if p_b < DEGENERATE_TOL and p_c < DEGENERATE_TOL:
+        raise DegenerateJump(f"both branch probabilities vanish (p_b={p_b:.3e}, p_c={p_c:.3e})")
+    take_b = u < p_b
+    # A branch of vanishing probability can only be selected when u sits within
+    # 1e-14 of the boundary; jump the other way deterministically instead.
+    if take_b and p_b < DEGENERATE_TOL:
+        take_b = False
+    elif not take_b and p_c < DEGENERATE_TOL:
+        take_b = True
+    if take_b:
+        rho = cand_b / p_b
+        x = s.x - 1
+    else:
+        rho = cand_c / p_c
+        x = s.x + 1
+    rho = (rho + rho.conj().T) / 2
+    return TrajectoryState(rho, x)
+
+
 def test_single_step_probabilities(ex5_pair, rho_half):
-    s = trajectory.TrajectoryState(rho_half, 0)
+    s = TrajectoryState(rho_half, 0)
     B, C = ex5_pair
     p_b = float(np.trace(B @ rho_half @ B.conj().T).real)
-    left = trajectory.trajectory_step(ex5_pair, s, p_b - 1e-9)
-    right = trajectory.trajectory_step(ex5_pair, s, p_b + 1e-9)
+    left = trajectory_step(ex5_pair, s, p_b - 1e-9)
+    right = trajectory_step(ex5_pair, s, p_b + 1e-9)
     assert left.x == -1 and right.x == 1
     assert np.trace(left.rho).real == pytest.approx(1.0, abs=1e-12)
     assert np.trace(right.rho).real == pytest.approx(1.0, abs=1e-12)
@@ -24,9 +60,9 @@ def test_single_step_probabilities(ex5_pair, rho_half):
 def test_vanishing_branch_forces_other_side():
     # C annihilates e1, so from rho = |e1><e1| the walk can only move left
     kp = validate_kraus_pair(np.diag([1.0, np.sqrt(0.5)]), np.diag([0.0, np.sqrt(0.5)]))
-    s = trajectory.TrajectoryState(np.diag([1.0, 0.0]).astype(complex), 0)
+    s = TrajectoryState(np.diag([1.0, 0.0]).astype(complex), 0)
     # u close to 1 would select the C branch; its probability vanishes
-    out = trajectory.trajectory_step(kp, s, 0.999999)
+    out = trajectory_step(kp, s, 0.999999)
     assert out.x == -1
 
 
@@ -35,19 +71,19 @@ def test_degenerate_draw_is_overridden():
     # put the draw on the far side of a branch whose probability is below the
     # degeneracy cutoff; the step must then jump the other way.
     kp = validate_kraus_pair(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-    half = trajectory.TrajectoryState(np.diag([0.5, 0.0]).astype(complex), 0)
-    out = trajectory.trajectory_step(kp, half, 0.9)  # p_c = 0, draw says right
+    half = TrajectoryState(np.diag([0.5, 0.0]).astype(complex), 0)
+    out = trajectory_step(kp, half, 0.9)  # p_c = 0, draw says right
     assert out.x == -1
-    tiny = trajectory.TrajectoryState(np.diag([5e-15, 0.5]).astype(complex), 0)
-    out = trajectory.trajectory_step(kp, tiny, 1e-15)  # p_b < cutoff, draw says left
+    tiny = TrajectoryState(np.diag([5e-15, 0.5]).astype(complex), 0)
+    out = trajectory_step(kp, tiny, 1e-15)  # p_b < cutoff, draw says left
     assert out.x == 1
 
 
 def test_both_branches_dead_raises():
     kp = validate_kraus_pair(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-    dead = trajectory.TrajectoryState(np.zeros((2, 2), dtype=complex), 0)
+    dead = TrajectoryState(np.zeros((2, 2), dtype=complex), 0)
     with pytest.raises(DegenerateJump):
-        trajectory.trajectory_step(kp, dead, 0.5)
+        trajectory_step(kp, dead, 0.5)
 
 
 def test_sample_reproducible_and_chunk_invariant(ex5_pair, rho_half, monkeypatch):
@@ -89,9 +125,9 @@ def test_sample_single_trajectory_matches_scalar_stepping(ex5_pair, rho_half):
         ends = []
         for i in range(n_traj):
             u = np.random.Generator(np.random.Philox(key=[seed, i])).random(steps)
-            s = trajectory.TrajectoryState(rho_half, 0)
+            s = TrajectoryState(rho_half, 0)
             for t in range(steps):
-                s = trajectory.trajectory_step(kp, s, float(u[t]))
+                s = trajectory_step(kp, s, float(u[t]))
             ends.append(s.x)
         sites, counts = np.unique(ends, return_counts=True)
         np.testing.assert_array_equal(rep.empirical.sites, sites)
@@ -103,3 +139,11 @@ def test_sample_input_validation(ex5_pair, rho_half):
         trajectory.sample(ex5_pair, rho_half, 5, 0, seed=1)
     with pytest.raises(ValueError):
         trajectory.sample(ex5_pair, rho_half, -1, 10, seed=1)
+
+
+def test_sample_size_guard(monkeypatch, ex5_pair, rho_half):
+    # 2n + 1 count bins over the bound: refused before anything is allocated
+    monkeypatch.setattr(core, "MAX_SITES", 20)
+    trajectory.sample(ex5_pair, rho_half, 9, 10, seed=1)
+    with pytest.raises(SizeError):
+        trajectory.sample(ex5_pair, rho_half, 10, 10, seed=1)
