@@ -18,6 +18,7 @@ invariant state is degenerate but a particular rho_inf is known.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -38,6 +39,9 @@ from .exceptions import DegenerateMax, NoInvariantState, NonUniqueInvariant, Par
 EIGENVALUE_ONE_TOL = 1e-9
 RESIDUAL_TOL = 1e-10
 SIMPSON_PANELS = 2**14
+ALPHA_GAUSS_NODES = 32
+ALPHA_PEAK_PANELS = 64
+ALPHA_TAIL_PANELS = 8
 
 
 @dataclass(frozen=True)
@@ -209,22 +213,42 @@ def laplace_ratio(f, g, interval: tuple[float, float], n: int) -> float:
     return float(np.sum(w * fn * gx)) / denom
 
 
+@cache
+def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the Gauss-Legendre rule on [-1, 1], read-only
+    since every caller shares them. Formed on first use and kept: importing
+    numpy.polynomial takes about 5 ms of every start of the command line, and
+    forming the rule costs about three times one use of it."""
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
+
+
 def ex5_alpha(n: int) -> float:
     """integral of lambda_1(k)^n over [-pi/2, pi/2].
 
     lambda_1 is the dominant eigenvalue branch of the dual symbol of the
     (1/sqrt 3)-pair; see `catalog.ex5_lambda1`. Decays like sqrt(9 pi / (4 n)).
-    """
-    from scipy.integrate import quad
 
+    The integrand is even and peaks at k = 0 with a width of about 1/sqrt(n),
+    so twice the integral over [0, pi/2] is taken by Gauss-Legendre rules on
+    `ALPHA_PEAK_PANELS` panels over [0, min(pi/2, 40/sqrt(n))], where the
+    peak lies, and `ALPHA_TAIL_PANELS` panels over the rest; past 40/sqrt(n)
+    the integrand is below exp(-700). The roundoff of lambda_1^n grows like
+    n times the machine epsilon.
+    """
     from .catalog import ex5_lambda1
 
     if n < 1:
         raise ValueError("n must be >= 1")
-    val, _ = quad(
-        lambda k: ex5_lambda1(k) ** n, -np.pi / 2, np.pi / 2, points=[0.0], epsrel=1e-10, limit=200
+    cut = min(np.pi / 2, 40 / np.sqrt(n))
+    edges = np.concatenate(
+        [np.linspace(0, cut, ALPHA_PEAK_PANELS + 1), np.linspace(cut, np.pi / 2, ALPHA_TAIL_PANELS + 1)[1:]]
     )
-    return float(val)
+    t, w = _gauss_legendre(ALPHA_GAUSS_NODES)
+    half = np.diff(edges)[:, None] / 2
+    k = (edges[:-1, None] + half) + half * t
+    return float(2 * np.sum(half * w * ex5_lambda1(k) ** n))
 
 
 def drift_concentration_check(kp: KrausPair, rho0, alpha: float, n: int) -> float:

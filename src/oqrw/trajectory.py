@@ -4,20 +4,25 @@ Each step evaluates p_B = Tr(B rho B*) and jumps to (B rho B*/p_B, x-1) when
 the uniform draw falls below p_B, else to (C rho C*/p_C, x+1). The position
 marginal of this chain is exactly the walk distribution.
 
-Randomness is counter-based: trajectory i consumes the stream of
-Philox(key=[seed, i]), so results are reproducible bit for bit regardless of
-how the trajectories are split into chunks.
+Randomness is counter-based: trajectory i consumes the stream of Philox with
+the 128-bit key [seed, i] (two uint64 words, seed in [0, 2**64)), counter 0,
+so results are reproducible bit for bit regardless of how the trajectories are
+split into chunks. A stream depends on its key alone, so each chunk builds one
+Philox generator and re-keys it per trajectory through the public
+`BitGenerator.state` setter instead of constructing a generator per
+trajectory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
 from .core import KrausPair, branch_superoperators, check_size, density_matrix, vec_trace, vectorize
 from .distribution import Distribution
-from .exceptions import DegenerateJump
+from .exceptions import DegenerateJump, ParameterError
 
 DEGENERATE_TOL = 1e-14
 CHUNK = 4096
@@ -43,6 +48,32 @@ class SampleReport:
         }
 
 
+def _uniforms(seed: int, lo: int, hi: int, n_steps: int) -> np.ndarray:
+    """Row i holds the first n_steps doubles of the stream of trajectory lo + i.
+
+    One Philox generator is re-keyed per trajectory: key [seed, lo + i],
+    counter 0 and an empty buffer, which is the state of a fresh
+    Philox(key=[seed, lo + i]).
+    """
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": np.array([seed, 0], dtype=np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    key = state["state"]["key"]
+    u = np.empty((hi - lo, n_steps))
+    for i in range(hi - lo):
+        key[1] = lo + i
+        bitgen.state = state
+        gen.random(n_steps, out=u[i])
+    return u
+
+
 def _run_chunk(kp: KrausPair, rho0: np.ndarray, n_steps: int, seed: int, lo: int, hi: int) -> np.ndarray:
     """Final positions of trajectories lo..hi-1, shifted to counts over [-n, n].
 
@@ -51,9 +82,7 @@ def _run_chunk(kp: KrausPair, rho0: np.ndarray, n_steps: int, seed: int, lo: int
     """
     m = hi - lo
     SBt, SCt = (S.T for S in branch_superoperators(kp))
-    u = np.empty((m, n_steps))
-    for i in range(m):
-        u[i] = np.random.Generator(np.random.Philox(key=[seed, lo + i])).random(n_steps)
+    u = _uniforms(seed, lo, hi, n_steps)
     v = np.broadcast_to(vectorize(rho0), (m, 4)).copy()
     x = np.zeros(m, dtype=np.int64)
     for t in range(n_steps):
@@ -74,11 +103,16 @@ def _run_chunk(kp: KrausPair, rho0: np.ndarray, n_steps: int, seed: int, lo: int
 
 
 def sample(kp: KrausPair, rho0, n_steps: int, n_traj: int, seed: int) -> SampleReport:
-    """Deterministic Monte Carlo estimate of the time-n distribution."""
+    """Deterministic Monte Carlo estimate of the time-n distribution.
+
+    seed is an integer in [0, 2**64); any other raises ParameterError.
+    """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
+    if not (isinstance(seed, Integral) and 0 <= seed < 2**64):
+        raise ParameterError(f"seed {seed!r} is not an integer in [0, 2**64)")
     rho0 = density_matrix(rho0)
     check_size(2 * n_steps + 1, "count bins")
     counts = np.zeros(2 * n_steps + 1, dtype=np.int64)

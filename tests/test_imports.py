@@ -14,10 +14,17 @@ def _run(code: str) -> str:
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy is imported lazily by the few functions that need it, so starting
-    # the command line does not pay for it
-    code = "import sys, oqrw.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    assert _run(code) == "[]"
+    # no module of the package imports scipy, so neither starting the command
+    # line nor `limits.ex5_alpha` behind `oqrw asym` pays for it; tests use
+    # scipy only as a reference
+    code = (
+        "import sys\n"
+        "from oqrw import cli, limits\n"
+        "limits.ex5_alpha(600)\n"
+        "assert cli.main(['asym', '--n', '30', '--window', '3']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert _run(code).splitlines()[-1] == "[]"
 
 
 def test_closed_form_leaves_scipy_stats_unloaded():

@@ -221,6 +221,23 @@ def test_ex5_alpha_matches_sqrt_decay():
     assert limits.ex5_alpha(n) == pytest.approx(math.sqrt(9 * math.pi / (4 * n)), rel=0.01)
 
 
+@pytest.mark.parametrize("n", [1, 2, 8, 32, 128, 600, 4000, 100000])
+def test_ex5_alpha_matches_adaptive_quadrature(n):
+    from scipy.integrate import quad
+
+    expect, _ = quad(
+        lambda k: catalog.ex5_lambda1(k) ** n, -np.pi / 2, np.pi / 2, points=[0.0], epsrel=1e-13, limit=400
+    )
+    assert limits.ex5_alpha(n) == pytest.approx(expect, rel=1e-11)
+
+
+@pytest.mark.parametrize("n", [3_000_000, 10_000_000])
+def test_ex5_alpha_keeps_the_peak_at_large_n(n):
+    # adaptive quadrature over the whole interval misses the peak of width
+    # 1/sqrt(n) here; the Laplace asymptote is exact to O(1/n)
+    assert limits.ex5_alpha(n) == pytest.approx(math.sqrt(9 * math.pi / (4 * n)), rel=1e-5)
+
+
 def test_ex5_alpha_requires_positive_n():
     with pytest.raises(ValueError):
         limits.ex5_alpha(0)

@@ -3,10 +3,10 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from oqrw import core, dual, trajectory
+from oqrw import cli, core, dual, trajectory
 from oqrw.core import KrausPair, validate_kraus_pair
 from oqrw.distribution import compare
-from oqrw.exceptions import DegenerateJump, SizeError
+from oqrw.exceptions import DegenerateJump, ParameterError, SizeError
 from oqrw.trajectory import DEGENERATE_TOL
 
 from conftest import make_random_pairs
@@ -147,3 +147,46 @@ def test_sample_size_guard(monkeypatch, ex5_pair, rho_half):
     trajectory.sample(ex5_pair, rho_half, 9, 10, seed=1)
     with pytest.raises(SizeError):
         trajectory.sample(ex5_pair, rho_half, 10, 10, seed=1)
+
+
+def _fresh_stream_rows(seed: int, lo: int, hi: int, n: int) -> np.ndarray:
+    """One new Generator(Philox) per trajectory: the definition of the streams."""
+    return np.array(
+        [
+            np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64))).random(n)
+            for i in range(lo, hi)
+        ]
+    ).reshape(hi - lo, n)
+
+
+@pytest.mark.parametrize("seed", [0, 2**63 + 5, 2**64 - 1])
+@pytest.mark.parametrize("n_steps", [0, 1, 21, 1000])
+def test_rekeyed_draws_match_fresh_generators(seed, n_steps):
+    # 21 is not a multiple of the four doubles of a Philox block, so a buffer
+    # left over from one trajectory would leak into the next; lo > 0 checks
+    # the offset of a later chunk
+    for lo, hi in ((0, 7), (4093, 4100)):
+        np.testing.assert_array_equal(
+            trajectory._uniforms(seed, lo, hi, n_steps), _fresh_stream_rows(seed, lo, hi, n_steps)
+        )
+
+
+def test_seeds_above_2_63_keep_their_own_stream():
+    a = trajectory._uniforms(2**63 + 5, 0, 4, 8)
+    b = trajectory._uniforms(2**63 + 6, 0, 4, 8)
+    assert not np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_uint64_is_refused(ex5_pair, rho_half, seed, capsys):
+    with pytest.raises(ParameterError):
+        trajectory.sample(ex5_pair, rho_half, 5, 10, seed=seed)
+    code = cli.main(["sample", "--example", "ex5", "--steps", "5", "--seed", str(seed), "--traj", "10"])
+    assert code == 2
+    assert "not an integer in [0, 2**64)" in capsys.readouterr().err
+
+
+def test_fractional_seed_is_refused(ex5_pair, rho_half):
+    # a uint64 key would truncate 1.5 to the stream of seed 1
+    with pytest.raises(ParameterError):
+        trajectory.sample(ex5_pair, rho_half, 5, 10, seed=1.5)
