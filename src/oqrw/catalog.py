@@ -9,7 +9,7 @@ Five parameterized Kraus pairs are provided:
     ex5    the (1/sqrt 3) upper/lower triangular pair
 
 ex1/ex3/ex4 have exact finite-sum laws (`closed_form`). ex5 has an exact
-combinatorial evaluator (`cut_unfold_distribution`, rational arithmetic) and
+combinatorial evaluator (`cut_unfold_distribution`, integers over 3^n) and
 explicit dual-symbol eigenvalues (`ex5_spectrum`). These serve as oracles for
 the generic engines; the engines never call into this module.
 """
@@ -162,8 +162,8 @@ def closed_form(spec: ExampleSpec, rho0_diag, n: int) -> Distribution:
     """Exact time-n law for ex1/ex3/ex4 started from diag(a, b) at the origin.
 
     ex1:  p_x = a [x=-n] + b sum_l C(n,l) p^l q^(n-l) [x=n-2l]
-    ex3:  the a-sector sticks at -n; the b-sector adds a geometric dressing
-          of lazy binomials (double sum over the coupling time j)
+    ex3:  the a-sector sticks at -n; the b-sector walkers that jump after R
+          right moves land at 2R + 2 - n, weighted by one binomial tail
     ex4:  equal mixture of Binomial(n, lam+) and Binomial(n, lam-) where
           lam+- = 1/2 +- 2 eps a(eps) cos(theta)
 
@@ -177,8 +177,6 @@ def closed_form(spec: ExampleSpec, rho0_diag, n: int) -> Distribution:
         raise ValueError("n must be >= 0")
     if spec.id in ("ex2", "ex5"):
         raise UnsupportedExample(f"{spec.id} has no closed-form law; use the engines")
-    if spec.id not in ("ex1", "ex3", "ex4"):
-        raise ParameterError(f"unknown example {spec.id!r}")
     check_size(n + 1, "closed-form coefficients")
     if n == 0:
         return Distribution({0: 1.0})
@@ -190,13 +188,8 @@ def closed_form(spec: ExampleSpec, rho0_diag, n: int) -> Distribution:
         coeff += b * _binom_pmf(n, par["p"])[::-1]
     elif spec.id == "ex4":
         eps, theta = par["eps"], par["theta"]
-        ae = math.sqrt(0.5 - eps * eps)
-        lam_p = 0.5 + 2 * eps * ae * math.cos(theta)
-        lam_m = 0.5 - 2 * eps * ae * math.cos(theta)
-        U = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-        w = U @ np.diag([a, b]) @ U.conj().T
-        a1, a2 = w[0, 0].real, w[1, 1].real
-        coeff += (a1 * _binom_pmf(n, lam_p) + a2 * _binom_pmf(n, lam_m))[::-1]
+        shift = 2 * eps * math.sqrt(0.5 - eps * eps) * math.cos(theta)
+        coeff += (0.5 * _binom_pmf(n, 0.5 + shift) + 0.5 * _binom_pmf(n, 0.5 - shift))[::-1]
     else:
         gamma = par["gamma"]
         pt = par["p"] - gamma**2 / 2
@@ -228,20 +221,19 @@ def _binom_pmf(j: int, r: float) -> np.ndarray:
 
 
 def _ex3_accumulate(coeff: np.ndarray, a: float, b: float, pt: float, qt: float, gamma: float, n: int) -> None:
-    """Add the ex3 law at time n >= 1 into coeff, the mass at x = 2i - n."""
+    """Add the ex3 law at time n >= 1 into coeff, the mass at x = 2i - n.
+
+    A b-sector walker that jumps after R right moves ends at 2R + 2 - n at any
+    jump time j. With s = 1 - pt >= gamma^2/2 > 0, the sum over j is a tail:
+    sum_j C(j,R) pt^(j-R) qt^R = qt^R s^-(R+1) P(Binomial(n, s) > R).
+    """
     coeff[0] += a
-    g2 = gamma * gamma
+    s = 1.0 - pt
+    tail = np.cumsum(_binom_pmf(n, s)[::-1])[::-1]  # tail[k] = P(Binomial(n, s) >= k)
+    coeff[1:] += b * gamma**2 / s * (qt / s) ** np.arange(n) * tail[1:]
     w = pt + qt
-    if w > 0:
-        r = pt / w
-        for j in range(n):
-            # C(j,l) pt^l qt^(j-l) = w^j Binomial(j, pt/w).pmf(l), stable for
-            # large j where the raw powers under/overflow; l lands at j - l + 1.
-            coeff[1 : j + 2] += (b * g2 * w**j * _binom_pmf(j, r))[::-1]
-        coeff += (b * w**n * _binom_pmf(n, r))[::-1]
-    else:
-        # pt = qt = 0: the only surviving dressing term is j = 0.
-        coeff[1] += b * g2
+    if w > 0:  # the walkers that never jump
+        coeff += (b * w**n * _binom_pmf(n, pt / w))[::-1]
 
 
 def _recover_ex3(kp: KrausPair) -> tuple[float, float, float]:
@@ -304,12 +296,20 @@ def ex5_spectrum(k: float) -> Ex5Spectrum:
     return Ex5Spectrum(k, xi, s, u, lam, (lam1 - lam0, lam2 - lam0, lam3 - lam0))
 
 
-def ex5_lambda1(k) -> np.ndarray | float:
-    """Dominant eigenvalue branch lam1, vectorized over k."""
+def _ex5_gap(k) -> np.ndarray | float:
+    """1 - lam1, vectorized over k, without cancellation. As s^3 + 3s = 4u,
+    1 - lam1 = (2d + e)/3 with d = 1 - u = 2 sin^2(k/2) and e = 1 - s, and
+    e = 4d/(6 - 3e + e^2): one step of that from e0 = 1 - s is good to ulps."""
     u = np.cos(k)
     xi = np.cbrt(2 * u + np.sqrt(4 * u * u + 1))
-    s = xi - 1.0 / xi
-    return s * (s * s + 5) / 6
+    e0 = 1 - (xi - 1.0 / xi)
+    d = 2 * np.sin(np.asarray(k) / 2) ** 2
+    return (2 * d + 4 * d / (6 - 3 * e0 + e0 * e0)) / 3
+
+
+def ex5_lambda1(k) -> np.ndarray | float:
+    """Dominant eigenvalue branch lam1, vectorized over k."""
+    return 1 - _ex5_gap(k)
 
 
 def ex5_power_traces(l: int) -> float:
@@ -326,7 +326,8 @@ def ex5_power_traces(l: int) -> float:
 # B*^m B^m + C*^m C^m = ((m^2+2)/3^m) I, the innermost run of a word can be
 # either cut away (weight (m^2+2)/3^m) or unfolded into the surrounding run
 # with flipped type (weight -1). Repeating until one run remains reduces the
-# word to weighted single-power traces, all evaluated in exact rationals.
+# word to weighted single-power traces: integer combinations of a and b over
+# 3^n for a word of length n, so each site is divided by 3^n once.
 
 
 def _displacement(runs: tuple[int, ...], inner_b: bool) -> int:
@@ -336,35 +337,23 @@ def _displacement(runs: tuple[int, ...], inner_b: bool) -> int:
     C runs move right (+), B runs move left (-).
     """
     sign = -1 if inner_b else 1
-    total = 0
-    for length in reversed(runs):
-        total += sign * length
-        sign = -sign
-    return total
+    return sign * sum(l if i % 2 == 0 else -l for i, l in enumerate(reversed(runs)))
 
 
-def _trace_b(l: int, a: Fraction, b: Fraction) -> Fraction:
-    return (a + b * (l * l + 1)) / 3**l
-
-
-def _trace_c(l: int, a: Fraction, b: Fraction) -> Fraction:
-    return (a * (l * l + 1) + b) / 3**l
-
-
-def _evaluate(runs: tuple[int, ...], inner_b: bool, a: Fraction, b: Fraction, memo: dict) -> Fraction:
+def _evaluate(runs: tuple[int, ...], inner_b: bool, memo: dict) -> tuple[int, int]:
+    """The word's trace as the integer pair (A, B): 3^n times its coefficients
+    of a and of b, where n is the word's length."""
     key = (runs, inner_b)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if len(runs) == 1:
-        val = _trace_b(runs[0], a, b) if inner_b else _trace_c(runs[0], a, b)
-    else:
-        m = runs[-1]
-        cut = Fraction(m * m + 2, 3**m) * _evaluate(runs[:-1], not inner_b, a, b, memo)
-        unfolded = _evaluate(runs[:-2] + (runs[-2] + m,), not inner_b, a, b, memo)
-        val = cut - unfolded
-    memo[key] = val
-    return val
+    if key not in memo:
+        if len(runs) == 1:
+            l2 = runs[0] * runs[0] + 1
+            memo[key] = (1, l2) if inner_b else (l2, 1)
+        else:
+            m = runs[-1]
+            cut_a, cut_b = _evaluate(runs[:-1], not inner_b, memo)
+            unf_a, unf_b = _evaluate(runs[:-2] + (runs[-2] + m,), not inner_b, memo)
+            memo[key] = ((m * m + 2) * cut_a - unf_a, (m * m + 2) * cut_b - unf_b)
+    return memo[key]
 
 
 def _compositions(n: int):
@@ -388,12 +377,15 @@ def cut_unfold_exact(rho0_diag, n: int) -> dict[int, Fraction]:
     if n == 0:
         return {0: Fraction(1)}
     memo: dict = {}
-    out: dict[int, Fraction] = {}
+    pairs: dict[int, tuple[int, int]] = {}
     for runs in _compositions(n):
         for inner_b in (True, False):
             x = _displacement(runs, inner_b)
-            out[x] = out.get(x, Fraction(0)) + _evaluate(runs, inner_b, fa, fb, memo)
-    return {x: v for x, v in sorted(out.items()) if v}
+            A, B = _evaluate(runs, inner_b, memo)
+            A0, B0 = pairs.get(x, (0, 0))
+            pairs[x] = (A0 + A, B0 + B)
+    out = {x: (fa * A + fb * B) / 3**n for x, (A, B) in sorted(pairs.items())}
+    return {x: v for x, v in out.items() if v}
 
 
 def cut_unfold_distribution(rho0_diag, n: int) -> Distribution:

@@ -65,12 +65,18 @@ class RunConfig:
                 raise ParameterError("output accepts only 'path' and 'format'")
             if output.get("format", "csv") not in FORMATS:
                 raise ParameterError(f"output format must be one of {FORMATS}")
+        steps = int(data["steps"])
+        if steps < 0:
+            raise ParameterError(f"steps {steps} must be >= 0")
+        seed = None if data.get("seed") is None else int(data["seed"])
+        if seed is not None:
+            trajectory._check_seed(seed)
         return RunConfig(
             kraus=data["kraus"],
             rho0=data["rho0"],
-            steps=int(data["steps"]),
+            steps=steps,
             method=method,
-            seed=None if data.get("seed") is None else int(data["seed"]),
+            seed=seed,
             traj=None if data.get("traj") is None else int(data["traj"]),
             output=output,
         )
@@ -250,17 +256,10 @@ def _cmd_compare(args) -> int:
 def _cmd_init_example(args) -> int:
     spec = catalog.parse_example_spec(args.example)
     catalog.build(spec)  # validate parameters before writing anything
-    config = RunConfig(
-        kraus={"example": spec.text()},
-        rho0=_IDENTITY_HALF,
-        steps=args.steps,
-        method=args.method,
-        seed=args.seed,
-        traj=args.traj,
-        output={"path": args.result, "format": args.format} if args.result else None,
-    )
-    text = json.dumps(config.to_json_dict(), indent=2)
-    _emit(text, args.out)
+    output = {"path": args.result, "format": args.format} if args.result else None
+    data = dict(kraus={"example": spec.text()}, rho0=_IDENTITY_HALF, steps=args.steps, method=args.method,
+                seed=args.seed, traj=args.traj, output=output)
+    _emit(json.dumps(RunConfig.from_json_dict(data).to_json_dict(), indent=2), args.out)
     return 0
 
 

@@ -234,10 +234,11 @@ def ex5_alpha(n: int) -> float:
     so twice the integral over [0, pi/2] is taken by Gauss-Legendre rules on
     `ALPHA_PEAK_PANELS` panels over [0, min(pi/2, 40/sqrt(n))], where the
     peak lies, and `ALPHA_TAIL_PANELS` panels over the rest; past 40/sqrt(n)
-    the integrand is below exp(-700). The roundoff of lambda_1^n grows like
-    n times the machine epsilon.
+    the integrand is below exp(-700). lambda_1^n is formed as
+    exp(n log1p(-gap)) from the gap 1 - lambda_1 of `catalog._ex5_gap`, which
+    has no cancellation, so its relative error does not grow with n.
     """
-    from .catalog import ex5_lambda1
+    from .catalog import _ex5_gap
 
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -248,7 +249,7 @@ def ex5_alpha(n: int) -> float:
     t, w = _gauss_legendre(ALPHA_GAUSS_NODES)
     half = np.diff(edges)[:, None] / 2
     k = (edges[:-1, None] + half) + half * t
-    return float(2 * np.sum(half * w * ex5_lambda1(k) ** n))
+    return float(2 * np.sum(half * w * np.exp(n * np.log1p(-_ex5_gap(k)))))
 
 
 def drift_concentration_check(kp: KrausPair, rho0, alpha: float, n: int) -> float:

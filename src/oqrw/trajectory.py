@@ -102,6 +102,12 @@ def _run_chunk(kp: KrausPair, rho0: np.ndarray, n_steps: int, seed: int, lo: int
     return np.bincount(x + n_steps, minlength=2 * n_steps + 1)
 
 
+def _check_seed(seed) -> None:
+    """Raise ParameterError unless seed is an integer in [0, 2**64)."""
+    if not (isinstance(seed, Integral) and 0 <= seed < 2**64):
+        raise ParameterError(f"seed {seed!r} is not an integer in [0, 2**64)")
+
+
 def sample(kp: KrausPair, rho0, n_steps: int, n_traj: int, seed: int) -> SampleReport:
     """Deterministic Monte Carlo estimate of the time-n distribution.
 
@@ -111,8 +117,7 @@ def sample(kp: KrausPair, rho0, n_steps: int, n_traj: int, seed: int) -> SampleR
         raise ValueError("n_traj must be >= 1")
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
-    if not (isinstance(seed, Integral) and 0 <= seed < 2**64):
-        raise ParameterError(f"seed {seed!r} is not an integer in [0, 2**64)")
+    _check_seed(seed)
     rho0 = density_matrix(rho0)
     check_size(2 * n_steps + 1, "count bins")
     counts = np.zeros(2 * n_steps + 1, dtype=np.int64)

@@ -9,7 +9,7 @@ from scipy.stats import binom
 
 from oqrw import catalog, core
 from oqrw.catalog import ExampleSpec
-from oqrw.distribution import compare
+from oqrw.distribution import MASS_TOL, ROUNDOFF_SCALE, compare
 from oqrw.exceptions import ParameterError, SizeError, UnsupportedExample
 from oqrw.lattice import distribution, evolve, initial_state
 
@@ -153,6 +153,60 @@ def test_closed_forms_match_lattice(text, rho0):
         assert compare(exact, engine)["max_abs"] <= 1e-11
 
 
+EX3_CASES = [(0.5, 0.5), (0.4, 0.6), (0.5, 1.0), (0.99, 0.1), (0.3, 0.2), (0.7, 0.7), (0.1, 0.4)]
+
+
+def _ex3_double_sum(p, gamma, a, b, n):
+    """ex3 law at time n as the sum over the jump time j, in Fractions:
+    entry i is the mass at x = 2i - n."""
+    g2 = Fraction(gamma) ** 2
+    pt, qt = Fraction(p) - g2 / 2, 1 - Fraction(p) - g2 / 2
+    ptp = [pt**k for k in range(n + 1)]
+    qtp = [qt**k for k in range(n + 1)]
+    coeff = [Fraction(0)] * (n + 1)
+    coeff[0] += a
+    for j in range(n):  # j moves in the b-sector, then the jump
+        for R in range(j + 1):  # R of them to the right
+            coeff[1 + R] += b * g2 * math.comb(j, R) * ptp[j - R] * qtp[R]
+    for R in range(n + 1):  # never jumps
+        coeff[R] += b * math.comb(n, R) * ptp[n - R] * qtp[R]
+    return coeff
+
+
+@pytest.mark.parametrize("p,gamma", EX3_CASES)
+def test_ex3_tail_form_matches_double_sum(p, gamma):
+    a, b = 0.25, 0.75
+    for n in (1, 2, 3, 10, 25, 60):
+        d = catalog.closed_form(ExampleSpec("ex3", {"p": p, "gamma": gamma}), (a, b), n)
+        floor = ROUNDOFF_SCALE * (n + 1) * np.finfo(float).eps
+        for i, exact in enumerate(_ex3_double_sum(p, gamma, Fraction(a), Fraction(b), n)):
+            got = d.prob(2 * i - n)
+            if got == 0.0:  # dropped by the roundoff floor
+                assert exact < floor
+            else:
+                assert abs(got - float(exact)) <= 1e-15
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    p=st.floats(0.01, 0.99),
+    frac=st.floats(0.01, 1.0),
+    a=st.floats(0.0, 1.0),
+    n=st.integers(1, 300),
+)
+def test_ex3_closed_form_matches_lattice_property(p, frac, a, n):
+    gamma = frac * min(math.sqrt(2 * p), math.sqrt(2 * (1.0 - p)))
+    spec = ExampleSpec("ex3", {"p": p, "gamma": gamma})
+    exact = catalog.closed_form(spec, (a, 1.0 - a), n)
+    engine = _law(catalog.build(spec), np.diag([a, 1.0 - a]), n)
+    assert compare(exact, engine)["max_abs"] <= 1e-12
+
+
+def test_ex3_closed_form_near_the_site_limit():
+    d = catalog.closed_form(ExampleSpec("ex3"), (0.5, 0.5), 999_999)
+    assert abs(d.total() - 1) <= MASS_TOL
+
+
 def test_ex3_mass_is_conserved_at_large_n():
     d = catalog.closed_form(ExampleSpec("ex3", {"p": 0.5, "gamma": 0.5}), (0.5, 0.5), 300)
     assert d.total() == pytest.approx(1.0, abs=1e-12)
@@ -244,9 +298,15 @@ def test_power_traces():
 
 
 # A word is given by its run lengths, outermost first, and the type of its
-# innermost run (inner_b); _evaluate shortens it to single-run traces.
+# innermost run (inner_b); _evaluate shortens it to single-run traces and
+# returns the integer pair (A, B) with trace (a A + b B) / 3^n.
 
 HALF = Fraction(1, 2)
+
+
+def _trace(pair, n, a, b):
+    A, B = pair
+    return (a * A + b * B) / 3**n
 
 
 def test_displacement_alternates_from_inner_run():
@@ -256,15 +316,52 @@ def test_displacement_alternates_from_inner_run():
     assert catalog._displacement((1, 1, 1, 1), False) == 0
 
 
+def _ex5_lattice_exact(a, n):
+    """Exact ex5 law by the lattice recursion on Fraction 2x2 blocks, with
+    B rho B* = 1/3 [[1,1],[0,1]] rho [[1,0],[1,1]] moving left and
+    C rho C* = 1/3 [[1,0],[-1,1]] rho [[1,-1],[0,1]] moving right."""
+
+    def mul(X, Y):
+        return [[X[i][0] * Y[0][j] + X[i][1] * Y[1][j] for j in range(2)] for i in range(2)]
+
+    def conj(M, rho):
+        return mul(mul(M, rho), [[M[0][0], M[1][0]], [M[0][1], M[1][1]]])
+
+    def add(X, Y):
+        return [[X[i][j] + Y[i][j] for j in range(2)] for i in range(2)]
+
+    B, C, zero = [[1, 1], [0, 1]], [[1, 0], [-1, 1]], [[0, 0], [0, 0]]
+    fa = Fraction(a)
+    blocks = {0: [[fa, Fraction(0)], [Fraction(0), 1 - fa]]}
+    for _ in range(n):
+        nxt = {}
+        for x, rho in blocks.items():
+            nxt[x - 1] = add(nxt.get(x - 1, zero), conj(B, rho))
+            nxt[x + 1] = add(nxt.get(x + 1, zero), conj(C, rho))
+        blocks = {x: [[v / 3 for v in row] for row in rho] for x, rho in nxt.items()}
+    law = {x: rho[0][0] + rho[1][1] for x, rho in sorted(blocks.items())}
+    return {x: v for x, v in law.items() if v}
+
+
+@pytest.mark.parametrize("a", [0.0, 0.37, 0.5, 1.0])
+def test_cut_unfold_equals_exact_lattice(a):
+    for n in range(13):
+        assert catalog.cut_unfold_exact((a, 1.0 - a), n) == _ex5_lattice_exact(a, n)
+
+
 def test_cut_and_unfold_mechanics():
     # shortening (1, 3) with a B innermost run: cutting the run of length 3
     # leaves (1,) with a C innermost run and weight 11/27; unfolding merges it
     # into (4,), again C innermost, with weight -1
     a, b = Fraction(1, 3), Fraction(2, 3)
     memo: dict = {}
-    val = catalog._evaluate((1, 3), True, a, b, memo)
+    pair = catalog._evaluate((1, 3), True, memo)
     assert set(memo) == {((1, 3), True), ((1,), False), ((4,), False)}
-    assert val == Fraction(11, 27) * memo[((1,), False)] - memo[((4,), False)]
+    assert memo[((1,), False)] == (2, 1) and memo[((4,), False)] == (17, 1)
+    assert pair == (11 * 2 - 17, 11 * 1 - 1)
+    val = _trace(pair, 4, a, b)
+    assert val == Fraction(11, 27) * _trace(memo[((1,), False)], 1, a, b) - _trace(memo[((4,), False)], 4, a, b)
+    assert val == Fraction(25, 243)
 
 
 def test_worked_contributions_at_n4():
@@ -278,7 +375,7 @@ def test_worked_contributions_at_n4():
     }
     for (runs, inner_b), expected in cases.items():
         assert catalog._displacement(runs, inner_b) == -2
-        assert catalog._evaluate(runs, inner_b, HALF, HALF, {}) == expected
+        assert _trace(catalog._evaluate(runs, inner_b, {}), 4, HALF, HALF) == expected
     assert sum(cases.values()) == Fraction(2, 9)
 
 
@@ -289,7 +386,7 @@ def test_manual_shortening_equals_evaluator():
     trace_c1 = (a * 2 + b) / 3
     trace_c4 = (a * 17 + b) / 81
     manual = Fraction(11, 27) * trace_c1 - trace_c4
-    assert manual == catalog._evaluate((1, 3), True, a, b, {})
+    assert manual == _trace(catalog._evaluate((1, 3), True, {}), 4, a, b)
 
 
 def test_exact_law_at_n4():

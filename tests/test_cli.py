@@ -228,6 +228,15 @@ def test_init_example_rejects_bad_params(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flags", [["--steps", "4", "--seed", "-1"], ["--steps", "-3", "--seed", "1"]])
+def test_init_example_refuses_what_dist_refuses(tmp_path, capsys, flags):
+    out = tmp_path / "c.json"
+    argv = ["init-example", "ex5", "--method", "trajectory", "--traj", "10", *flags, "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert not out.exists()
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
