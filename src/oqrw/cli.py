@@ -65,21 +65,31 @@ class RunConfig:
                 raise ParameterError("output accepts only 'path' and 'format'")
             if output.get("format", "csv") not in FORMATS:
                 raise ParameterError(f"output format must be one of {FORMATS}")
-        steps = int(data["steps"])
+        steps = _json_int("steps", data["steps"])
         if steps < 0:
             raise ParameterError(f"steps {steps} must be >= 0")
-        seed = None if data.get("seed") is None else int(data["seed"])
+        seed, traj = data.get("seed"), data.get("traj")
         if seed is not None:
-            trajectory._check_seed(seed)
+            trajectory._check_seed(_json_int("seed", seed))
+        if traj is not None:
+            _json_int("traj", traj)
         return RunConfig(
             kraus=data["kraus"],
             rho0=data["rho0"],
             steps=steps,
             method=method,
             seed=seed,
-            traj=None if data.get("traj") is None else int(data["traj"]),
+            traj=traj,
             output=output,
         )
+
+
+def _json_int(name: str, value) -> int:
+    """value itself when it is an integer; ParameterError for anything else,
+    bools and integral floats such as 3.0 included, so nothing is truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParameterError(f"{name} {value!r} is not an integer")
+    return value
 
 
 def _resolve_kraus(kraus: dict) -> tuple[KrausPair, catalog.ExampleSpec | None]:

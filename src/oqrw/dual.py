@@ -25,6 +25,11 @@ from .exceptions import ResidueError
 
 SYMMETRY_TOL = 1e-9
 SYMMETRY_PROBES = 8
+# nodes powered together: a (4, 4, 2048) complex base, its square and one
+# product term take 1.5 MB, which stays in a typical core's L2 cache through
+# the squarings; of chunks of 1024 to 4096 nodes, 1536 and 2048 were fastest
+# at n = 1e5 on a 2-CPU Xeon with 2 MB of L2 per core
+_NODE_CHUNK = 2048
 
 
 def dual_symbol(kp: KrausPair, k) -> np.ndarray:
@@ -44,29 +49,40 @@ def _check_steps(n: int) -> None:
     check_size(2 * n + 2, "Fourier nodes")
 
 
-def _power_vecs(symbols: np.ndarray, n: int) -> np.ndarray:
-    """vec(Y_n) at every node: the n-th power of each stacked symbol applied
-    to vec(I), by square-and-multiply.
+def _power_vecs(kp: KrausPair, k: np.ndarray, n: int) -> np.ndarray:
+    """vec(Y_n) at each momentum of the 1-d array k, shape (len(k), 4): the
+    n-th power of the dual symbol applied to vec(I), by square-and-multiply.
 
-    The vectors accumulate the powers S^(2^i) for the set bits of n, one
-    matrix-vector product per bit; only the squarings are batched 4x4
-    products. Powers of one symbol commute, so the order does not matter.
+    The nodes are powered _NODE_CHUNK at a time, in structure-of-arrays form:
+    a chunk's symbols are one contiguous (4, 4, m) array, a squaring is four
+    broadcast products summed over the inner index, and the chunk stays in
+    cache through all its squarings. The vectors accumulate the powers
+    S^(2^i) for the set bits of n; powers of one symbol commute, so the order
+    does not matter. Each node's arithmetic is the same for any chunking.
     """
-    v = np.broadcast_to(I2.reshape(4), (symbols.shape[0], 4)).astype(complex)
-    base = symbols
-    while n:
-        if n & 1:
-            v = np.einsum("nij,nj->ni", base, v)
-        n >>= 1
-        if n:
-            base = base @ base
-    return v
+    out = np.empty((len(k), 4), dtype=complex)
+    for lo in range(0, len(k), _NODE_CHUNK):
+        base = np.ascontiguousarray(dual_symbol(kp, k[lo : lo + _NODE_CHUNK]).transpose(1, 2, 0))
+        square, term = np.empty_like(base), np.empty_like(base)
+        v = np.repeat(I2.reshape(4, 1), base.shape[2], axis=1)
+        bits = n
+        while bits:
+            if bits & 1:
+                v = base[:, 0] * v[0] + base[:, 1] * v[1] + base[:, 2] * v[2] + base[:, 3] * v[3]
+            bits >>= 1
+            if bits:
+                np.multiply(base[:, 0, None], base[None, 0], out=square)
+                for j in range(1, 4):
+                    square += np.multiply(base[:, j, None], base[None, j], out=term)
+                base, square = square, base
+        out[lo : lo + _NODE_CHUNK] = v.T
+    return out
 
 
 def dual_power(kp: KrausPair, k: float, n: int) -> np.ndarray:
     """Y_n(k) as a 2x2 matrix."""
     _check_steps(n)
-    return devectorize(_power_vecs(dual_symbol(kp, [k]), n)[0])
+    return devectorize(_power_vecs(kp, np.array([k], dtype=float), n)[0])
 
 
 def _probe_indices(n: int) -> np.ndarray:
@@ -101,7 +117,7 @@ def distribution_via_dual(kp: KrausPair, rho0, n: int) -> Distribution:
     rho0 = density_matrix(rho0)
     size = 2 * n + 2
     index = np.concatenate([np.arange(n + 2), size - _probe_indices(n)])
-    v = _power_vecs(dual_symbol(kp, 2 * np.pi * index / size), n)
+    v = _power_vecs(kp, 2 * np.pi * index / size, n)
     phi = v @ rho0.T.reshape(4)  # Tr(rho0 Y) = vec(rho0^T) . vec(Y)
     return finalize(*_invert_traces(phi[: n + 2], phi[n + 2 :], n), n)
 

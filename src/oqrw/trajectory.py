@@ -20,6 +20,7 @@ from numbers import Integral
 
 import numpy as np
 
+from . import core
 from .core import KrausPair, branch_superoperators, check_size, density_matrix, vec_trace, vectorize
 from .distribution import Distribution
 from .exceptions import DegenerateJump, ParameterError
@@ -120,9 +121,12 @@ def sample(kp: KrausPair, rho0, n_steps: int, n_traj: int, seed: int) -> SampleR
     _check_seed(seed)
     rho0 = density_matrix(rho0)
     check_size(2 * n_steps + 1, "count bins")
+    # a chunk draws rows x n_steps uniforms at once: keep that within the size
+    # bound; the count-bin check above leaves at least two rows
+    rows = min(CHUNK, core.MAX_SITES // max(n_steps, 1))
     counts = np.zeros(2 * n_steps + 1, dtype=np.int64)
-    for lo in range(0, n_traj, CHUNK):
-        counts += _run_chunk(kp, rho0, n_steps, seed, lo, min(lo + CHUNK, n_traj))
+    for lo in range(0, n_traj, rows):
+        counts += _run_chunk(kp, rho0, n_steps, seed, lo, min(lo + rows, n_traj))
     sites = np.arange(-n_steps, n_steps + 1, dtype=np.int64)
     keep = counts > 0
     empirical = Distribution((sites[keep], counts[keep] / n_traj))

@@ -272,6 +272,21 @@ def test_config_validation(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("field", ["steps", "seed", "traj"])
+@pytest.mark.parametrize("value", [3.9, 4.0, True, "4", [4]])
+def test_config_integer_fields_refuse_non_integers(tmp_path, capsys, field, value):
+    """A non-integer steps, seed or traj is refused with exit 2, never truncated."""
+    doc = {"kraus": {"example": "ex5"}, "rho0": cli._IDENTITY_HALF, "steps": 4,
+           "method": "trajectory", "seed": 7, "traj": 10}
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    assert cli.main(["dist", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    cfg.write_text(json.dumps({**doc, field: value}))
+    assert cli.main(["dist", "--config", str(cfg)]) == 2
+    assert f"{field} {value!r} is not an integer" in capsys.readouterr().err
+
+
 def test_kraus_example_with_extra_keys_rejected():
     from oqrw.exceptions import ParameterError
 

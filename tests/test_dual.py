@@ -1,4 +1,5 @@
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -133,6 +134,47 @@ def test_half_grid_matches_full_grid(rho_half):
                 assert compare(got, want)["max_abs"] <= 1e-13
 
 
+RHO_OFFDIAG = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
+
+
+def test_laws_do_not_depend_on_the_node_chunk(monkeypatch):
+    """Each node's arithmetic is the same for any chunking, so the laws are equal."""
+    kp = random_kraus_pair(np.random.default_rng(41))
+    ns = (0, 1, 63, 5000)
+    want = [dual.distribution_via_dual(kp, RHO_OFFDIAG, n) for n in ns]
+    for chunk in (1, 7):
+        monkeypatch.setattr(dual, "_NODE_CHUNK", chunk)
+        for n, w in zip(ns, want):
+            got = dual.distribution_via_dual(kp, RHO_OFFDIAG, n)
+            assert np.array_equal(got.sites, w.sites) and np.array_equal(got.probs, w.probs)
+
+
+def test_power_vecs_matches_matrix_power_per_node():
+    """The chunked powering against numpy's matrix_power node by node, over
+    enough nodes that the last chunk is a partial one."""
+    kp = random_kraus_pair(np.random.default_rng(43))
+    for n in (0, 5000):
+        size = 2 * n + 2
+        k = 2 * np.pi * np.arange(n + 10) / size
+        got = dual._power_vecs(kp, k, n)
+        assert got.shape == (n + 10, 4)
+        want = np.linalg.matrix_power(dual.dual_symbol(kp, k), n) @ I2.reshape(4)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_dual_law_memory_stays_small(ex5_pair, rho_half):
+    """No (N, 4, 4) symbol stack: the traced peak at n = 20000 stays under
+    8 MB, where a full stack of the 20,010 nodes' symbols alone takes 5.1 MB."""
+    dual.distribution_via_dual(ex5_pair, rho_half, 20000)
+    tracemalloc.start()
+    try:
+        dual.distribution_via_dual(ex5_pair, rho_half, 20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
 def test_symmetry_guard_flags_corrupted_mirror_nodes(monkeypatch, example_pair, rho_half):
     clean = dual.dual_symbol
 
@@ -168,7 +210,7 @@ def test_negated_interior_coefficient_is_refused(ex5_pair, rho_half):
         finalize(d.sites, p, n)
 
 
-RHO0S = (np.eye(2) / 2, np.diag([1.0, 0.0]), np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]))
+RHO0S = (np.eye(2) / 2, np.diag([1.0, 0.0]), RHO_OFFDIAG)
 
 
 @settings(max_examples=40, deadline=None)

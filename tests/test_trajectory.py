@@ -97,6 +97,23 @@ def test_sample_reproducible_and_chunk_invariant(ex5_pair, rho_half, monkeypatch
     assert a.empirical == c.empirical
 
 
+def test_sample_chunk_rows_bounded_by_max_sites(ex5_pair, rho_half, monkeypatch):
+    """A chunk holds at most core.MAX_SITES draws, and the report is unchanged."""
+    want = trajectory.sample(ex5_pair, rho_half, 20, 300, seed=5)
+    rows = []
+    run_chunk = trajectory._run_chunk
+
+    def spy(kp, rho0, n_steps, seed, lo, hi):
+        rows.append(hi - lo)
+        return run_chunk(kp, rho0, n_steps, seed, lo, hi)
+
+    monkeypatch.setattr(trajectory, "_run_chunk", spy)
+    monkeypatch.setattr(core, "MAX_SITES", 50)
+    got = trajectory.sample(ex5_pair, rho_half, 20, 300, seed=5)
+    assert got.to_json_dict() == want.to_json_dict()
+    assert sum(rows) == 300 and max(rows) * 20 <= 50
+
+
 def test_seed_changes_output(ex5_pair, rho_half):
     a = trajectory.sample(ex5_pair, rho_half, 10, 4000, seed=1)
     b = trajectory.sample(ex5_pair, rho_half, 10, 4000, seed=2)
