@@ -70,9 +70,9 @@ class RunConfig:
             raise ParameterError(f"steps {steps} must be >= 0")
         seed, traj = data.get("seed"), data.get("traj")
         if seed is not None:
-            trajectory._check_seed(_json_int("seed", seed))
+            trajectory._check_seed(seed)
         if traj is not None:
-            _json_int("traj", traj)
+            traj = _json_int("traj", traj)
         return RunConfig(
             kraus=data["kraus"],
             rho0=data["rho0"],

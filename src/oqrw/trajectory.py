@@ -20,13 +20,15 @@ from numbers import Integral
 
 import numpy as np
 
-from . import core
 from .core import KrausPair, branch_superoperators, check_size, density_matrix, vec_trace, vectorize
 from .distribution import Distribution
 from .exceptions import DegenerateJump, ParameterError
 
 DEGENERATE_TOL = 1e-14
 CHUNK = 4096
+# steps of uniforms drawn at once, a multiple of the four doubles of a Philox
+# block: 128 MiB of draws for a full chunk
+STEP_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -49,18 +51,23 @@ class SampleReport:
         }
 
 
-def _uniforms(seed: int, lo: int, hi: int, n_steps: int) -> np.ndarray:
-    """Row i holds the first n_steps doubles of the stream of trajectory lo + i.
+def _uniforms(seed: int, lo: int, hi: int, n_steps: int, start: int = 0) -> np.ndarray:
+    """Row i holds doubles start .. start + n_steps - 1 of the stream of
+    trajectory lo + i; start is a multiple of 4.
 
     One Philox generator is re-keyed per trajectory: key [seed, lo + i],
-    counter 0 and an empty buffer, which is the state of a fresh
-    Philox(key=[seed, lo + i]).
+    counter start / 4 and an empty buffer. A Philox block is four doubles, so
+    at start 0 this is the state of a fresh Philox(key=[seed, lo + i]) and at
+    start 4c it is that state after 4c draws.
     """
     bitgen = np.random.Philox(0)
     gen = np.random.Generator(bitgen)
     state = {
         "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": np.array([seed, 0], dtype=np.uint64)},
+        "state": {
+            "counter": np.array([start // 4, 0, 0, 0], dtype=np.uint64),
+            "key": np.array([seed, 0], dtype=np.uint64),
+        },
         "buffer": np.zeros(4, dtype=np.uint64),
         "buffer_pos": 4,
         "has_uint32": 0,
@@ -79,21 +86,25 @@ def _run_chunk(kp: KrausPair, rho0: np.ndarray, n_steps: int, seed: int, lo: int
     """Final positions of trajectories lo..hi-1, shifted to counts over [-n, n].
 
     The states are held as row-major vec rows of shape (m, 4) and branch
-    through core.branch_superoperators.
+    through core.branch_superoperators. The uniforms are drawn STEP_BLOCK
+    steps at a time, so a chunk holds at most CHUNK x STEP_BLOCK draws
+    whatever n_steps is.
     """
     m = hi - lo
     SBt, SCt = (S.T for S in branch_superoperators(kp))
-    u = _uniforms(seed, lo, hi, n_steps)
     v = np.broadcast_to(vectorize(rho0), (m, 4)).copy()
     x = np.zeros(m, dtype=np.int64)
     for t in range(n_steps):
+        if t % STEP_BLOCK == 0:
+            u = None  # free the last block before drawing the next
+            u = _uniforms(seed, lo, hi, min(STEP_BLOCK, n_steps - t), start=t)
         cand_b = v @ SBt
         cand_c = v @ SCt
         p_b = vec_trace(cand_b)
         p_c = vec_trace(cand_c)
         if np.any((p_b < DEGENERATE_TOL) & (p_c < DEGENERATE_TOL)):
             raise DegenerateJump("both branch probabilities vanish")
-        take_b = u[:, t] < p_b
+        take_b = u[:, t % STEP_BLOCK] < p_b
         take_b &= p_b >= DEGENERATE_TOL
         take_b |= p_c < DEGENERATE_TOL
         denom = np.where(take_b, p_b, p_c)
@@ -105,7 +116,7 @@ def _run_chunk(kp: KrausPair, rho0: np.ndarray, n_steps: int, seed: int, lo: int
 
 def _check_seed(seed) -> None:
     """Raise ParameterError unless seed is an integer in [0, 2**64)."""
-    if not (isinstance(seed, Integral) and 0 <= seed < 2**64):
+    if isinstance(seed, bool) or not (isinstance(seed, Integral) and 0 <= seed < 2**64):
         raise ParameterError(f"seed {seed!r} is not an integer in [0, 2**64)")
 
 
@@ -121,12 +132,9 @@ def sample(kp: KrausPair, rho0, n_steps: int, n_traj: int, seed: int) -> SampleR
     _check_seed(seed)
     rho0 = density_matrix(rho0)
     check_size(2 * n_steps + 1, "count bins")
-    # a chunk draws rows x n_steps uniforms at once: keep that within the size
-    # bound; the count-bin check above leaves at least two rows
-    rows = min(CHUNK, core.MAX_SITES // max(n_steps, 1))
     counts = np.zeros(2 * n_steps + 1, dtype=np.int64)
-    for lo in range(0, n_traj, rows):
-        counts += _run_chunk(kp, rho0, n_steps, seed, lo, min(lo + rows, n_traj))
+    for lo in range(0, n_traj, CHUNK):
+        counts += _run_chunk(kp, rho0, n_steps, seed, lo, min(lo + CHUNK, n_traj))
     sites = np.arange(-n_steps, n_steps + 1, dtype=np.int64)
     keep = counts > 0
     empirical = Distribution((sites[keep], counts[keep] / n_traj))

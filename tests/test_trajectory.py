@@ -97,21 +97,24 @@ def test_sample_reproducible_and_chunk_invariant(ex5_pair, rho_half, monkeypatch
     assert a.empirical == c.empirical
 
 
-def test_sample_chunk_rows_bounded_by_max_sites(ex5_pair, rho_half, monkeypatch):
-    """A chunk holds at most core.MAX_SITES draws, and the report is unchanged."""
-    want = trajectory.sample(ex5_pair, rho_half, 20, 300, seed=5)
-    rows = []
-    run_chunk = trajectory._run_chunk
+def test_sample_draws_in_step_blocks(ex5_pair, rho_half, monkeypatch):
+    """A chunk holds at most STEP_BLOCK steps of draws, and the report does
+    not depend on the block length."""
+    want = trajectory.sample(ex5_pair, rho_half, 21, 300, seed=5)
+    widths = []
+    uniforms = trajectory._uniforms
 
-    def spy(kp, rho0, n_steps, seed, lo, hi):
-        rows.append(hi - lo)
-        return run_chunk(kp, rho0, n_steps, seed, lo, hi)
+    def spy(seed, lo, hi, n_steps, start=0):
+        widths.append(n_steps)
+        return uniforms(seed, lo, hi, n_steps, start)
 
-    monkeypatch.setattr(trajectory, "_run_chunk", spy)
-    monkeypatch.setattr(core, "MAX_SITES", 50)
-    got = trajectory.sample(ex5_pair, rho_half, 20, 300, seed=5)
-    assert got.to_json_dict() == want.to_json_dict()
-    assert sum(rows) == 300 and max(rows) * 20 <= 50
+    monkeypatch.setattr(trajectory, "_uniforms", spy)
+    for block in (4, 8):
+        widths.clear()
+        monkeypatch.setattr(trajectory, "STEP_BLOCK", block)
+        got = trajectory.sample(ex5_pair, rho_half, 21, 300, seed=5)
+        assert got.to_json_dict() == want.to_json_dict()
+        assert sum(widths) == 21 and max(widths) == block
 
 
 def test_seed_changes_output(ex5_pair, rho_half):
@@ -188,6 +191,15 @@ def test_rekeyed_draws_match_fresh_generators(seed, n_steps):
         )
 
 
+@pytest.mark.parametrize("start", [4, 20, 996])
+def test_draws_from_a_later_step_continue_the_stream(start):
+    # a block of steps start .. start + n - 1 must be that slice of each
+    # trajectory's stream, which is what lets sample draw a long walk in blocks
+    n = 9
+    full = _fresh_stream_rows(2**63 + 5, 4093, 4100, start + n)
+    np.testing.assert_array_equal(trajectory._uniforms(2**63 + 5, 4093, 4100, n, start=start), full[:, start:])
+
+
 def test_seeds_above_2_63_keep_their_own_stream():
     a = trajectory._uniforms(2**63 + 5, 0, 4, 8)
     b = trajectory._uniforms(2**63 + 6, 0, 4, 8)
@@ -207,3 +219,9 @@ def test_fractional_seed_is_refused(ex5_pair, rho_half):
     # a uint64 key would truncate 1.5 to the stream of seed 1
     with pytest.raises(ParameterError):
         trajectory.sample(ex5_pair, rho_half, 5, 10, seed=1.5)
+
+
+def test_bool_seed_is_refused(ex5_pair, rho_half):
+    # bool is an Integral: True would run as the stream of seed 1
+    with pytest.raises(ParameterError):
+        trajectory.sample(ex5_pair, rho_half, 5, 10, seed=True)
