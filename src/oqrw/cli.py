@@ -59,11 +59,16 @@ class RunConfig:
         method = data["method"]
         if method not in METHODS:
             raise ParameterError(f"method {method!r} not in {METHODS}")
+        kraus = data["kraus"]
+        if isinstance(kraus, dict) and "example" in kraus:
+            _json_str("example", kraus["example"])
         output = data.get("output")
         if output is not None:
-            if set(output) - {"path", "format"}:
-                raise ParameterError("output accepts only 'path' and 'format'")
-            if output.get("format", "csv") not in FORMATS:
+            if not isinstance(output, dict) or set(output) - {"path", "format"}:
+                raise ParameterError("output must be an object with only 'path' and 'format'")
+            if "path" in output:
+                _json_str("path", output["path"])
+            if _json_str("format", output.get("format", "csv")) not in FORMATS:
                 raise ParameterError(f"output format must be one of {FORMATS}")
         steps = _json_int("steps", data["steps"])
         if steps < 0:
@@ -89,6 +94,13 @@ def _json_int(name: str, value) -> int:
     bools and integral floats such as 3.0 included, so nothing is truncated."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParameterError(f"{name} {value!r} is not an integer")
+    return value
+
+
+def _json_str(name: str, value) -> str:
+    """value itself when it is a string; ParameterError for anything else."""
+    if not isinstance(value, str):
+        raise ParameterError(f"{name} {value!r} is not a string")
     return value
 
 
@@ -244,6 +256,8 @@ def _cmd_asym(args) -> int:
     spec = catalog.parse_example_spec(args.example)
     if spec.id != "ex5":
         raise ParameterError("the asymptotic ratio table is defined for ex5 only")
+    if args.window < 0:
+        raise ParameterError(f"window {args.window} must be >= 0")
     pair = catalog.build(spec)
     n2 = 2 * args.n
     dist = dual.distribution_via_dual(pair, np.eye(2) / 2, n2)

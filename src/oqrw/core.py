@@ -1,10 +1,12 @@
-"""Complex 2x2 operator algebra, Kraus pairs, and superoperator vectorization.
+"""Complex 2x2 operator algebra, Kraus pairs, and Pauli coordinates.
 
-Matrices are plain complex numpy arrays of shape (2, 2). A superoperator is a
-(4, 4) complex array acting on row-major vectorized matrices: vec(A) is
-A.reshape(4), so vec(M A N) = kron(M, N.T) vec(A). With this convention the
-branch A -> BAB* is kron(B, conj(B)), and a stack of blocks held as vec rows
-v of shape (m, 4) maps to v @ kron(B, conj(B)).T.
+Matrices are plain complex numpy arrays of shape (2, 2). A Hermitian block is
+carried by its real Pauli coordinates h = (Tr A, Tr sx A, Tr sy A, Tr sz A),
+so A = (h0 I + h1 sx + h2 sy + h3 sz) / 2 and coordinate 0 is the trace. The
+branch A -> K A K* is the real 4x4 matrix M_K[a, b] = Tr(s_a K s_b K*) / 2,
+and a stack of blocks held as coordinate rows h of shape (m, 4) maps to
+h @ M_K.T. The channel is M_B + M_C and, since the Pauli basis is orthogonal
+under Tr(A*B), its Heisenberg adjoint X -> B*XB + C*XC is the transpose.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ TRACE_TOL = 1e-12
 MAX_SITES = 1_000_000
 
 I2 = np.eye(2, dtype=complex)
+# sigma_0 = I, sigma_x, sigma_y, sigma_z
+PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 def check_size(count: int, what: str) -> None:
@@ -107,41 +111,23 @@ def apply_adjoint_channel(kp: KrausPair, X: np.ndarray) -> np.ndarray:
     return B.conj().T @ X @ B + C.conj().T @ X @ C
 
 
-def vectorize(A: np.ndarray) -> np.ndarray:
-    """Row-major vec: shape (2, 2) -> (4,)."""
-    return np.asarray(A, dtype=complex).reshape(4)
+def to_pauli(A) -> np.ndarray:
+    """Real Pauli coordinates Tr(s_a A) of Hermitian 2x2 matrices: shape
+    (..., 2, 2) -> (..., 4). Of a non-Hermitian A this gives the coordinates
+    of its Hermitian part (A + A*)/2."""
+    return np.einsum("aij,...ji->...a", PAULI, A).real
 
 
-def devectorize(v: np.ndarray) -> np.ndarray:
-    """Inverse of vectorize: shape (4,) -> (2, 2)."""
-    return np.asarray(v, dtype=complex).reshape(2, 2)
+def from_pauli(h) -> np.ndarray:
+    """The Hermitian 2x2 matrix (h0 I + h1 sx + h2 sy + h3 sz) / 2 of real
+    coordinates h: shape (..., 4) -> (..., 2, 2)."""
+    return np.tensordot(np.asarray(h, dtype=float), PAULI, axes=1) / 2
 
 
-def vec_trace(v: np.ndarray) -> np.ndarray:
-    """Real trace of each vectorized block: shape (..., 4) -> (...)."""
-    return (v[..., 0] + v[..., 3]).real
-
-
-def branch_superoperators(kp: KrausPair) -> tuple[np.ndarray, np.ndarray]:
-    """The two branch maps rho -> B rho B* and rho -> C rho C*:
-    (kron(B, conj(B)), kron(C, conj(C)))."""
-    B, C = kp
-    return np.kron(B, B.conj()), np.kron(C, C.conj())
-
-
-def channel_superoperator(kp: KrausPair) -> np.ndarray:
-    """Matrix of the CP map rho -> B rho B* + C rho C*, the sum of the two branches."""
-    SB, SC = branch_superoperators(kp)
-    return SB + SC
-
-
-def adjoint_channel_superoperator(kp: KrausPair) -> np.ndarray:
-    """Matrix of the adjoint (Heisenberg) map X -> B*XB + C*XC.
-
-    Equals the conjugate transpose of channel_superoperator under the
-    Hilbert-Schmidt inner product <A, B> = Tr(A*B).
-    """
-    return channel_superoperator(kp).conj().T
+def branch_maps(kp: KrausPair) -> tuple[np.ndarray, np.ndarray]:
+    """The two branch maps A -> B A B* and A -> C A C* on Pauli coordinates:
+    real 4x4 matrices (M_B, M_C) with M_K[:, b] = to_pauli(K s_b K*) / 2."""
+    return tuple(to_pauli(K @ PAULI @ K.conj().T).T / 2 for K in kp)
 
 
 def random_kraus_pair(rng: np.random.Generator) -> KrausPair:

@@ -15,9 +15,10 @@ MASS_TOL = 1e-8
 class Distribution:
     """Finite probability measure on the integers.
 
-    Stores sites and weights as parallel arrays sorted by site. A negative
-    weight is rejected on construction. No mass normalization or flooring is
-    applied here: the exact engines pass their weights through finalize.
+    Stores sites and weights as parallel arrays sorted by site. A negative or
+    non-finite weight is rejected on construction. No mass normalization or
+    flooring is applied here: the exact engines pass their weights through
+    finalize.
     """
 
     __slots__ = ("sites", "probs")
@@ -35,6 +36,8 @@ class Distribution:
             sites, probs = sites[order], probs[order]
         if sites.size != np.unique(sites).size:
             raise ValueError("duplicate sites")
+        if not np.all(np.isfinite(probs)):
+            raise ValueError("probabilities must be finite")
         if probs.size and probs.min() < 0:
             raise ValueError(f"negative probability {probs.min():.3e}")
         self.sites = sites

@@ -1,8 +1,8 @@
 """Distribution of the walk through the dual process and Fourier inversion.
 
 The dual symbol at momentum k is the 4x4 superoperator
-e^{ik} L_{B*} R_B + e^{-ik} L_{C*} R_C; applying its n-th power to vec(I)
-gives Y_n(k), and
+e^{ik} L_{B*} R_B + e^{-ik} L_{C*} R_C on row-major vecs, vec(A) = A.reshape(4);
+applying its n-th power to vec(I) gives Y_n(k), and
 
     p_x = (1/2pi) integral over (-pi, pi] of e^{ikx} Tr(rho0 Y_n(k)) dk.
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import I2, KrausPair, check_size, density_matrix, devectorize
+from .core import I2, KrausPair, check_size, density_matrix
 from .distribution import Distribution, finalize
 from .exceptions import ResidueError
 
@@ -82,7 +82,7 @@ def _power_vecs(kp: KrausPair, k: np.ndarray, n: int) -> np.ndarray:
 def dual_power(kp: KrausPair, k: float, n: int) -> np.ndarray:
     """Y_n(k) as a 2x2 matrix."""
     _check_steps(n)
-    return devectorize(_power_vecs(kp, np.array([k], dtype=float), n)[0])
+    return _power_vecs(kp, np.array([k], dtype=float), n)[0].reshape(2, 2)
 
 
 def _probe_indices(n: int) -> np.ndarray:

@@ -10,6 +10,11 @@ and the variance involves the solution L of the Poisson equation
 
     L - (B* L B + C* L C) = C*C - B*B - m I.
 
+Both are solved on the real Pauli coordinates of core: rho_inf is the
+eigenvector of the channel matrix M_B + M_C at eigenvalue 1, divided by its
+coordinate 0 (the trace), and L solves the real system with I - (M_B + M_C).T,
+since the adjoint channel is the transpose of the channel.
+
 `clt_params` packages the whole pipeline behind the uniqueness check;
 `solve_poisson` and `clt_variance` are the individual pieces, usable when the
 invariant state is degenerate but a particular rho_inf is known.
@@ -25,13 +30,12 @@ import numpy as np
 from .core import (
     I2,
     KrausPair,
-    adjoint_channel_superoperator,
     apply_adjoint_channel,
     apply_channel,
-    channel_superoperator,
+    branch_maps,
     density_matrix,
-    devectorize,
-    vectorize,
+    from_pauli,
+    to_pauli,
 )
 from .distribution import Distribution
 from .exceptions import DegenerateMax, NoInvariantState, NonUniqueInvariant, ParameterError
@@ -65,30 +69,24 @@ class CltParams:
 def invariant_states(kp: KrausPair) -> InvariantReport:
     """Diagnose the fixed space of rho -> B rho B* + C rho C*.
 
-    Counts eigenvalues of the 4x4 superoperator within 1e-9 of 1. When the
-    fixed space is one-dimensional the report carries the invariant density
-    matrix and the sup-norm residual of the fixed-point equation; otherwise
-    rho_inf is None. Raises NoInvariantState when no eigenvalue is near 1.
+    Counts eigenvalues of the real 4x4 channel matrix M_B + M_C of
+    core.branch_maps within 1e-9 of 1. When the fixed space is
+    one-dimensional the report carries the invariant density matrix and the
+    sup-norm residual of the fixed-point equation; otherwise rho_inf is None.
+    Raises NoInvariantState when no eigenvalue is near 1.
     """
-    S = channel_superoperator(kp)
-    vals, vecs = np.linalg.eig(S)
+    vals, vecs = np.linalg.eig(sum(branch_maps(kp)))
     near_one = np.abs(vals - 1.0) <= EIGENVALUE_ONE_TOL
     dim = int(near_one.sum())
     if dim == 0:
         raise NoInvariantState("channel has no eigenvalue within 1e-9 of 1")
     if dim > 1:
         return InvariantReport(dim, None, None)
-    v = vecs[:, near_one][:, 0]
-    rho = devectorize(v)
-    tr = np.trace(rho)
-    if abs(tr) < 1e-12:
+    # a real eigenvalue of a real matrix has a real eigenvector
+    h = vecs[:, near_one][:, 0].real
+    if abs(h[0]) < 1e-12:
         raise NoInvariantState("fixed vector is traceless, not a state")
-    # Rotate the arbitrary eigenvector phase onto the positive real axis
-    # before Hermitizing; Hermitizing first can cancel the state entirely.
-    rho = rho * (abs(tr) / tr)
-    rho = (rho + rho.conj().T) / 2
-    rho = rho / np.trace(rho).real
-    rho = density_matrix(rho)
+    rho = density_matrix(from_pauli(h / h[0]))
     residual = float(np.max(np.abs(apply_channel(kp, rho) - rho)))
     if residual > RESIDUAL_TOL:
         raise NoInvariantState(f"fixed-point residual {residual:.3e} exceeds {RESIDUAL_TOL}")
@@ -116,11 +114,9 @@ def solve_poisson(kp: KrausPair, rho_inf: np.ndarray) -> tuple[float, np.ndarray
     B, C = kp
     m = drift(kp, rho_inf)
     rhs = C.conj().T @ C - B.conj().T @ B - m * I2
-    A = np.eye(4) - adjoint_channel_superoperator(kp)
-    sol, *_ = np.linalg.lstsq(A, vectorize(rhs), rcond=None)
-    L = devectorize(sol)
-    L = (L + L.conj().T) / 2
-    return m, L
+    A = np.eye(4) - sum(branch_maps(kp)).T
+    sol, *_ = np.linalg.lstsq(A, to_pauli(rhs), rcond=None)
+    return m, from_pauli(sol)
 
 
 def poisson_residual(kp: KrausPair, L: np.ndarray, m: float) -> float:

@@ -2,7 +2,9 @@
 
 Each step evaluates p_B = Tr(B rho B*) and jumps to (B rho B*/p_B, x-1) when
 the uniform draw falls below p_B, else to (C rho C*/p_C, x+1). The position
-marginal of this chain is exactly the walk distribution.
+marginal of this chain is exactly the walk distribution. The states rho are
+held as real Pauli coordinate rows (core.to_pauli), whose coordinate 0 is the
+trace.
 
 Randomness is counter-based: trajectory i consumes the stream of Philox with
 the 128-bit key [seed, i] (two uint64 words, seed in [0, 2**64)), counter 0,
@@ -20,7 +22,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .core import KrausPair, branch_superoperators, check_size, density_matrix, vec_trace, vectorize
+from .core import KrausPair, branch_maps, check_size, density_matrix, to_pauli
 from .distribution import Distribution
 from .exceptions import DegenerateJump, ParameterError
 
@@ -85,31 +87,30 @@ def _uniforms(seed: int, lo: int, hi: int, n_steps: int, start: int = 0) -> np.n
 def _run_chunk(kp: KrausPair, rho0: np.ndarray, n_steps: int, seed: int, lo: int, hi: int) -> np.ndarray:
     """Final positions of trajectories lo..hi-1, shifted to counts over [-n, n].
 
-    The states are held as row-major vec rows of shape (m, 4) and branch
-    through core.branch_superoperators. The uniforms are drawn STEP_BLOCK
-    steps at a time, so a chunk holds at most CHUNK x STEP_BLOCK draws
-    whatever n_steps is.
+    The states are held as Pauli rows of shape (m, 4); one product with the
+    (4, 8) matrix [M_B.T | M_C.T] of core.branch_maps gives both candidates,
+    whose traces p_B and p_C are columns 0 and 4. The uniforms are drawn
+    STEP_BLOCK steps at a time, so a chunk holds at most CHUNK x STEP_BLOCK
+    draws whatever n_steps is.
     """
     m = hi - lo
-    SBt, SCt = (S.T for S in branch_superoperators(kp))
-    v = np.broadcast_to(vectorize(rho0), (m, 4)).copy()
+    both = np.hstack([M.T for M in branch_maps(kp)])
+    v = np.broadcast_to(to_pauli(rho0), (m, 4))
     x = np.zeros(m, dtype=np.int64)
     for t in range(n_steps):
         if t % STEP_BLOCK == 0:
             u = None  # free the last block before drawing the next
             u = _uniforms(seed, lo, hi, min(STEP_BLOCK, n_steps - t), start=t)
-        cand_b = v @ SBt
-        cand_c = v @ SCt
-        p_b = vec_trace(cand_b)
-        p_c = vec_trace(cand_c)
+        cand = v @ both
+        p_b = cand[:, 0]
+        p_c = cand[:, 4]
         if np.any((p_b < DEGENERATE_TOL) & (p_c < DEGENERATE_TOL)):
             raise DegenerateJump("both branch probabilities vanish")
         take_b = u[:, t % STEP_BLOCK] < p_b
         take_b &= p_b >= DEGENERATE_TOL
         take_b |= p_c < DEGENERATE_TOL
-        denom = np.where(take_b, p_b, p_c)
-        v = np.where(take_b[:, None], cand_b, cand_c) / denom[:, None]
-        v = (v + v[:, [0, 2, 1, 3]].conj()) / 2  # Hermitian part: vec(rho*) permutes 1 and 2
+        v = np.where(take_b[:, None], cand[:, :4], cand[:, 4:])
+        v /= v[:, :1]
         x += np.where(take_b, -1, 1)
     return np.bincount(x + n_steps, minlength=2 * n_steps + 1)
 

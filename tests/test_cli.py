@@ -287,6 +287,41 @@ def test_config_integer_fields_refuse_non_integers(tmp_path, capsys, field, valu
     assert f"{field} {value!r} is not an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field",
+    [{"kraus": {"example": 5}}, {"output": {"path": 2}}, {"output": {"path": 5}}, {"output": {"format": 1}}],
+)
+def test_config_string_fields_refuse_other_types(tmp_path, capsys, field):
+    """A non-string example, output path or format is refused with exit 2; a
+    path such as 2 must not become a file descriptor."""
+    doc = {"kraus": {"example": "ex5"}, "rho0": cli._IDENTITY_HALF, "steps": 3, "method": "lattice", **field}
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    assert cli.main(["dist", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "is not a string" in captured.err and "Traceback" not in captured.err
+
+
+def test_compare_refuses_non_finite_weights(tmp_path, capsys):
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    a.write_text("x,p\n0,1\n")
+    for weight in ("nan", "inf"):
+        b.write_text(f"x,p\n0,{weight}\n")
+        assert cli.main(["compare", str(a), str(b)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
+def test_asym_refuses_a_negative_window(capsys):
+    assert cli.main(["asym", "--n", "5", "--window", "-2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
 def test_kraus_example_with_extra_keys_rejected():
     from oqrw.exceptions import ParameterError
 

@@ -49,14 +49,19 @@ def test_density_matrix_checks():
     assert rho.dtype == complex
 
 
+def _random_hermitian(rng):
+    A = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    return A + A.conj().T
+
+
 def test_apply_channel_matches_superoperator(example_pair):
     rng = np.random.default_rng(7)
     M = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     rho = M @ M.conj().T
     rho /= np.trace(rho).real
     direct = core.apply_channel(example_pair, rho)
-    S = core.channel_superoperator(example_pair)
-    via_super = core.devectorize(S @ core.vectorize(rho))
+    MB, MC = core.branch_maps(example_pair)
+    via_super = core.from_pauli((MB + MC) @ core.to_pauli(rho))
     np.testing.assert_allclose(direct, via_super, atol=1e-14)
 
 
@@ -68,29 +73,33 @@ def test_channel_preserves_trace_and_positivity(example_pair):
     assert evals.min() >= -1e-14
 
 
-def test_branch_superoperators_are_the_two_sandwiches():
+def test_branch_maps_are_the_two_sandwiches():
     rng = np.random.default_rng(3)
     kp = core.random_kraus_pair(rng)
-    A = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    SB, SC = core.branch_superoperators(kp)
-    for S, M in ((SB, kp.B), (SC, kp.C)):
-        v = S @ core.vectorize(A)
-        np.testing.assert_allclose(core.devectorize(v), M @ A @ M.conj().T, atol=1e-14)
-        assert core.vec_trace(v) == pytest.approx(np.trace(M @ A @ M.conj().T).real, abs=1e-14)
-    np.testing.assert_array_equal(SB + SC, core.channel_superoperator(kp))
+    A = _random_hermitian(rng)
+    np.testing.assert_allclose(core.from_pauli(core.to_pauli(A)), A, atol=1e-15)
+    # the channel preserves the trace, coordinate 0
+    np.testing.assert_allclose(sum(core.branch_maps(kp))[0], [1, 0, 0, 0], atol=1e-15)
+    for M, K in zip(core.branch_maps(kp), kp):
+        assert M.dtype == float and M.shape == (4, 4)
+        h = M @ core.to_pauli(A)
+        np.testing.assert_allclose(core.from_pauli(h), K @ A @ K.conj().T, atol=1e-14)
+        assert h[0] == pytest.approx(np.trace(K @ A @ K.conj().T).real, abs=1e-14)
 
 
 def test_adjoint_superoperator_is_hs_adjoint(example_pair):
-    """<L(A), B> = <A, L*(B)> in the Hilbert-Schmidt inner product."""
+    """<L(A), B> = <A, L*(B)> in the Hilbert-Schmidt inner product, and on
+    Pauli coordinates the adjoint channel is the transpose of the channel."""
     rng = np.random.default_rng(11)
     A = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     X = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     lhs = np.trace(core.apply_channel(example_pair, A).conj().T @ X)
     rhs = np.trace(A.conj().T @ core.apply_adjoint_channel(example_pair, X))
     assert lhs == pytest.approx(rhs, abs=1e-13)
-    S = core.channel_superoperator(example_pair)
+    X = _random_hermitian(rng)
+    MB, MC = core.branch_maps(example_pair)
     np.testing.assert_allclose(
-        core.adjoint_channel_superoperator(example_pair), S.conj().T, atol=1e-15
+        core.from_pauli((MB + MC).T @ core.to_pauli(X)), core.apply_adjoint_channel(example_pair, X), atol=1e-14
     )
 
 

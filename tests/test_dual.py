@@ -8,17 +8,20 @@ from hypothesis import strategies as st
 
 from oqrw import catalog, dual, lattice
 from oqrw.distribution import ROUNDOFF_SCALE, compare, finalize
-from oqrw.core import I2, random_kraus_pair
+from oqrw.core import I2, apply_adjoint_channel, random_kraus_pair
 from oqrw.exceptions import ResidueError, SizeError
 
 from conftest import brute_force_laws, make_random_pairs
 
 
 def test_symbol_at_zero_is_channel_adjoint_superoperator(example_pair):
-    from oqrw.core import adjoint_channel_superoperator
-
+    rng = np.random.default_rng(5)
     sym = dual.dual_symbol(example_pair, 0.0)
-    np.testing.assert_allclose(sym, adjoint_channel_superoperator(example_pair), atol=1e-15)
+    for _ in range(4):
+        X = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        np.testing.assert_allclose(
+            (sym @ X.reshape(4)).reshape(2, 2), apply_adjoint_channel(example_pair, X), atol=1e-15
+        )
 
 
 def test_symbol_hermitian_pairing(example_pair):

@@ -15,10 +15,9 @@ def hadamard_like():
 
 def test_initial_state_places_rho_at_site(rho_half):
     s = lattice.initial_state(rho_half, site=3)
-    assert s.support() == (3, 3)
-    np.testing.assert_array_equal(s.block(3), rho_half)
-    assert s.block(0).shape == (2, 2)
-    assert np.all(s.block(0) == 0)
+    assert s.lo == 3 and s.step_count == 0
+    assert s.rows.shape == (1, 4) and s.rows.dtype == float
+    np.testing.assert_array_equal(core.from_pauli(s.rows[0]), rho_half)
 
 
 def test_initial_state_validates(rho_half):
@@ -86,8 +85,8 @@ def test_evolve_rejects_negative_and_oversize(rho_half, monkeypatch):
 
 def test_distribution_guards_mass_loss(rho_half):
     # a pair that leaks mass must be caught at the distribution boundary
-    vecs = np.array([[0.4, 0, 0, 0.4]], dtype=complex)
-    bad = lattice.LatticeState(lo=0, vecs=vecs, step_count=0)
+    rows = np.array([[0.8, 0, 0, 0]])
+    bad = lattice.LatticeState(lo=0, rows=rows, step_count=0)
     with pytest.raises(SumError):
         lattice.distribution(bad)
 
@@ -114,9 +113,9 @@ def test_pruning_zeroes_sites_inside_the_gap(rho_half):
 
 def test_window_state_evolves_to_mean_of_shifted_laws(example_pair, rho_half):
     n = 9
-    vecs = np.zeros((7, 4), dtype=complex)
-    vecs[0] = vecs[6] = rho_half.reshape(4) / 2
-    both = lattice.distribution(lattice.evolve(example_pair, lattice.LatticeState(-3, vecs, 0), n))
+    rows = np.zeros((4, 4))
+    rows[0] = rows[3] = core.to_pauli(rho_half) / 2
+    both = lattice.distribution(lattice.evolve(example_pair, lattice.LatticeState(-3, rows, 0), n))
     laws = [
         lattice.distribution(lattice.evolve(example_pair, lattice.initial_state(rho_half, site), n))
         for site in (-3, 3)
@@ -124,3 +123,13 @@ def test_window_state_evolves_to_mean_of_shifted_laws(example_pair, rho_half):
     for x in range(-3 - n, 3 + n + 1):
         want = (laws[0].prob(x) + laws[1].prob(x)) / 2
         assert both.prob(x) == pytest.approx(want, abs=1e-14)
+
+
+def test_window_holds_only_the_sites_of_its_parity(rho_half):
+    # from one start every row of the window is a site of the parity of n:
+    # ex5 from I/2 at n = 4000 has 461 sites above PRUNE_TRACE and no zero row
+    kp = catalog.build(catalog.ExampleSpec("ex5"))
+    s = lattice.evolve(kp, lattice.initial_state(rho_half), 4000)
+    assert len(s.rows) == 461
+    assert np.all(s.rows[:, 0] >= lattice.PRUNE_TRACE)
+    assert (s.lo - 4000) % 2 == 0
