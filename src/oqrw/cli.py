@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import catalog, dual, lattice, limits, trajectory
-from .core import KrausPair, mat2_from_json, mat2_to_json, validate_kraus_pair
+from .core import KrausPair, check_size, mat2_from_json, mat2_to_json, validate_kraus_pair
 from .distribution import Distribution, compare
 from .exceptions import (
     NormalizationError,
@@ -258,6 +258,7 @@ def _cmd_asym(args) -> int:
         raise ParameterError("the asymptotic ratio table is defined for ex5 only")
     if args.window < 0:
         raise ParameterError(f"window {args.window} must be >= 0")
+    check_size(2 * args.window + 1, "asym rows")
     pair = catalog.build(spec)
     n2 = 2 * args.n
     dist = dual.distribution_via_dual(pair, np.eye(2) / 2, n2)

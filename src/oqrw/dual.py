@@ -6,13 +6,21 @@ applying its n-th power to vec(I) gives Y_n(k), and
 
     p_x = (1/2pi) integral over (-pi, pi] of e^{ikx} Tr(rho0 Y_n(k)) dk.
 
-Tr(rho0 Y_n(k)) is a trigonometric polynomial of degree at most n, so an
-N-point discrete Fourier sum with N = 2n+2 >= 2n+1 evaluates the integral
-exactly up to rounding. The coefficients p_x are real, so the trace at 2pi - k
-is the conjugate of the trace at k: only the n+2 nodes in [0, pi] are evolved,
-and a real inverse FFT recovers p. A few mirrored nodes in (pi, 2pi) are
-evolved as well, to check that symmetry. The initial state never enters the
-k-evolution; it appears only in the final trace.
+Every step moves the walker by +-1, so p_x = 0 unless x = n (mod 2), and
+
+    psi(k) = e^{-ikn} Tr(rho0 Y_n(k)) = sum_j c_j e^{-2ikj},  c_j = p_{-n+2j},
+
+a polynomial of degree n in e^{-2ik} with n+1 real coefficients. At the M
+nodes k_m = pi m / M, with M >= n+1, psi is the length-M discrete Fourier
+transform of c, so an inverse FFT recovers c exactly up to rounding. M is the
+smallest 2^a 3^b 5^c >= n+1, a fast FFT length. The coefficients are real, so
+psi at pi - k is the conjugate of psi at k: only the M/2+1 nodes in [0, pi/2]
+are evolved, and a real inverse FFT of length M returns the n+1 weights of the
+walk's parity class. A few mirrored nodes in (pi/2, pi) are evolved as well,
+to check that symmetry, together with the imaginary parts that the real
+inverse FFT drops. The bound of 2n+2 nodes (`_check_steps`) is only the size
+guard. The initial state never enters the k-evolution; it appears only in the
+final trace.
 """
 
 from __future__ import annotations
@@ -47,6 +55,20 @@ def _check_steps(n: int) -> None:
     if n < 0:
         raise ValueError("n must be >= 0")
     check_size(2 * n + 2, "Fourier nodes")
+
+
+def _grid_size(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n + 1: the inversion's FFT length M."""
+    target = int(n) + 1
+    best = 1 << (target - 1).bit_length()  # the power of 2 >= target
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-target // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _power_vecs(kp: KrausPair, k: np.ndarray, n: int) -> np.ndarray:
@@ -85,29 +107,37 @@ def dual_power(kp: KrausPair, k: float, n: int) -> np.ndarray:
     return _power_vecs(kp, np.array([k], dtype=float), n)[0].reshape(2, 2)
 
 
-def _probe_indices(n: int) -> np.ndarray:
-    """Grid indices j in [1, n] whose mirrored nodes 2pi - k_j are checked:
-    at most SYMMETRY_PROBES of them, spread evenly over (0, pi)."""
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)  # the grid {0, pi} has no interior node
-    return np.unique(np.rint(np.linspace(1, n, SYMMETRY_PROBES)).astype(np.int64))
+def _probe_indices(size: int) -> np.ndarray:
+    """Node indices m in (0, size/2) whose mirrored nodes pi - k_m are checked:
+    at most SYMMETRY_PROBES of them, spread evenly over (0, pi/2)."""
+    last = (size - 1) // 2
+    if last < 1:
+        return np.zeros(0, dtype=np.int64)  # the grid {0, pi/2} has no interior node
+    step = (last - 1) / (SYMMETRY_PROBES - 1)
+    # a Python set: at small n, linspace and unique cost more than the probes
+    return np.array(sorted({round(1 + i * step) for i in range(SYMMETRY_PROBES)}), dtype=np.int64)
 
 
-def _invert_traces(phi: np.ndarray, mirrored: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Invert half-grid samples of the trace polynomial to site probabilities.
+def _invert_traces(psi: np.ndarray, mirrored: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Invert the parity-grid samples of psi to site probabilities.
 
-    phi[j] = Tr(rho0 Y_n(k_j)) at the n+2 nodes k_j = 2pi j / (2n+2) in
-    [0, pi]; mirrored holds the trace at 2pi - k_j for j in _probe_indices(n).
-    Returns the raw (sites, p) for x in [-n, n], roundoff included; raises
-    ResidueError if a mirrored value differs from conj(phi[j]) by more than
-    SYMMETRY_TOL. Negative coefficients are left to distribution.finalize.
+    psi[m] = e^{-ik_m n} Tr(rho0 Y_n(k_m)) at the M/2+1 nodes k_m = pi m / M
+    in [0, pi/2], M = _grid_size(n); mirrored holds psi at pi - k_m for m in
+    _probe_indices(M). Returns the raw (sites, p) on the n+1 sites
+    -n, -n+2, ..., n, roundoff included. Raises ResidueError if a mirrored
+    value differs from conj(psi[m]), or psi is not real at k = 0 or (M even)
+    at k = pi/2, by more than SYMMETRY_TOL. Negative coefficients are left to
+    distribution.finalize.
     """
-    defect = float(np.max(np.abs(mirrored - phi[_probe_indices(n)].conj()), initial=0.0))
+    size = _grid_size(n)
+    real_nodes = psi[[0, size // 2]] if size % 2 == 0 else psi[:1]
+    defect = max(
+        float(np.max(np.abs(mirrored - psi[_probe_indices(size)].conj()), initial=0.0)),
+        float(np.max(np.abs(real_nodes.imag))),
+    )
     if defect > SYMMETRY_TOL:
         raise ResidueError(f"conjugate-symmetry defect {defect:.3e} exceeds {SYMMETRY_TOL}")
-    size = 2 * n + 2
-    sites = np.arange(-n, n + 1, dtype=np.int64)
-    return sites, np.fft.irfft(phi, size)[np.mod(sites, size)]
+    return np.arange(-n, n + 1, 2, dtype=np.int64), np.fft.irfft(psi, size)[: n + 1]
 
 
 def distribution_via_dual(kp: KrausPair, rho0, n: int) -> Distribution:
@@ -115,11 +145,14 @@ def distribution_via_dual(kp: KrausPair, rho0, n: int) -> Distribution:
     checked and floored by distribution.finalize."""
     _check_steps(n)
     rho0 = density_matrix(rho0)
-    size = 2 * n + 2
-    index = np.concatenate([np.arange(n + 2), size - _probe_indices(n)])
-    v = _power_vecs(kp, 2 * np.pi * index / size, n)
-    phi = v @ rho0.T.reshape(4)  # Tr(rho0 Y) = vec(rho0^T) . vec(Y)
-    return finalize(*_invert_traces(phi[: n + 2], phi[n + 2 :], n), n)
+    size = _grid_size(n)
+    half = size // 2 + 1
+    m = np.concatenate([np.arange(half), size - _probe_indices(size)])
+    v = _power_vecs(kp, np.pi * m / size, n)
+    # Tr(rho0 Y) = vec(rho0^T) . vec(Y); the phase e^{-ik_m n} is reduced
+    # exactly in integers: m n < size (n + 1) <= 2 (n + 1)^2 fits in int64
+    psi = (v @ rho0.T.reshape(4)) * np.exp(-1j * np.pi * (m * n % (2 * size)) / size)
+    return finalize(*_invert_traces(psi[:half], psi[half:], n), n)
 
 
 def characteristic_function(kp: KrausPair, rho0, n: int, t, scale: float = 1.0):

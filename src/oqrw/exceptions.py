@@ -26,8 +26,10 @@ class SumError(OqrwError):
 
 class ResidueError(OqrwError):
     """An exact law failed a roundoff check: a weight lies below minus the
-    noise floor of distribution.finalize, or the dual traces at mirrored
-    nodes are not conjugate (symmetry defect above 1e-9)."""
+    noise floor of distribution.finalize, or the dual engine's phased traces
+    break their conjugate symmetry by more than 1e-9 (a mirrored node in
+    (pi/2, pi) is not the conjugate of its partner, or the value at k = 0 or
+    k = pi/2 is not real)."""
 
 
 class NonUniqueInvariant(OqrwError):

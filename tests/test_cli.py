@@ -322,6 +322,16 @@ def test_asym_refuses_a_negative_window(capsys):
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
 
 
+def test_asym_refuses_a_window_beyond_the_size_guard(monkeypatch, capsys):
+    # refused before the law or any row is formed
+    monkeypatch.setattr(cli.dual, "distribution_via_dual", None)
+    assert cli.main(["asym", "--n", "5", "--window", str(10**9)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "asym rows" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_kraus_example_with_extra_keys_rejected():
     from oqrw.exceptions import ParameterError
 

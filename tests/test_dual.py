@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oqrw import catalog, dual, lattice
+from oqrw import catalog, core, dual, lattice
 from oqrw.distribution import ROUNDOFF_SCALE, compare, finalize
 from oqrw.core import I2, apply_adjoint_channel, random_kraus_pair
 from oqrw.exceptions import ResidueError, SizeError
@@ -113,9 +113,9 @@ def test_grid_size_guard(ex5_pair):
 
 
 def _full_grid_laws(kp, rho0s, n):
-    """The laws from all 2n+2 nodes in [0, 2pi), the symbol applied one step
-    at a time and a complex inverse FFT: the reference for the half grid,
-    floored by the same finalize step."""
+    """The raw laws from all 2n+2 nodes in [0, 2pi), the symbol applied one
+    step at a time and a complex inverse FFT on every site of [-n, n]: the
+    reference for the parity grid, before finalize."""
     size = 2 * n + 2
     sym = dual.dual_symbol(kp, 2 * np.pi * np.arange(size) / size)
     v = np.broadcast_to(I2.reshape(4), (size, 4)).astype(complex)[..., None]
@@ -123,18 +123,66 @@ def _full_grid_laws(kp, rho0s, n):
         v = sym @ v
     sites = np.arange(-n, n + 1)
     for rho0 in rho0s:
-        p = np.fft.ifft(v[..., 0] @ rho0.T.reshape(4))[np.mod(sites, size)].real
-        yield finalize(sites, p, n)
+        yield sites, np.fft.ifft(v[..., 0] @ rho0.T.reshape(4))[np.mod(sites, size)].real
 
 
-def test_half_grid_matches_full_grid(rho_half):
+def test_half_grid_matches_full_grid(monkeypatch, rho_half):
+    """The raw coefficients of the parity grid agree with the full grid's to
+    1e-13; the full grid's off-parity sites are roundoff; the floored laws
+    differ only on sites within a factor 2 of the floor."""
+    raw = []
+
+    def recording_finalize(sites, p, n):
+        raw.append((sites, p))
+        return finalize(sites, p, n)
+
+    monkeypatch.setattr(dual, "finalize", recording_finalize)
     rho0s = (rho_half, np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]))
     pairs = [catalog.build(spec) for spec in catalog.all_examples()] + make_random_pairs(3, seed=29)
     for kp in pairs:
         for n in (0, 1, 2, 7, 63, 64, 1000):
-            for rho0, want in zip(rho0s, _full_grid_laws(kp, rho0s, n)):
+            floor = ROUNDOFF_SCALE * (n + 1) * np.finfo(float).eps
+            for rho0, (ref_sites, ref_p) in zip(rho0s, _full_grid_laws(kp, rho0s, n)):
                 got = dual.distribution_via_dual(kp, rho0, n)
-                assert compare(got, want)["max_abs"] <= 1e-13
+                sites, p = raw.pop()
+                on_parity = (ref_sites + n) % 2 == 0
+                assert np.array_equal(sites, ref_sites[on_parity])
+                assert np.max(np.abs(p - ref_p[on_parity])) <= 1e-13
+                assert np.max(np.abs(ref_p[~on_parity]), initial=0.0) <= floor
+                want = finalize(ref_sites, ref_p, n)
+                for x in np.setxor1d(got.sites, want.sites):
+                    assert floor / 2 <= max(got.prob(int(x)), want.prob(int(x))) <= 2 * floor
+
+
+def test_grid_size_is_the_smallest_5_smooth_length():
+    smooth = np.array([m for m in range(1, 6003) if _is_5_smooth(m)])
+    for n in range(3001):
+        size = dual._grid_size(n)
+        assert _is_5_smooth(size) and n + 1 <= size <= 2 * (n + 1)
+        assert size == smooth[np.searchsorted(smooth, n + 1)]
+    assert dual._grid_size(np.int64(10**5)) == 101250 == 2 * 3**4 * 5**4
+
+
+def _is_5_smooth(m):
+    for q in (2, 3, 5):
+        while m % q == 0:
+            m //= q
+    return m == 1
+
+
+def test_check_steps_keeps_the_2n_plus_2_bound(monkeypatch, ex5_pair, rho_half):
+    """The guard counts 2n+2 nodes, not the smaller FFT length, so the dual
+    and lattice engines refuse the same n."""
+    monkeypatch.setattr(core, "MAX_SITES", 100)
+    assert dual._grid_size(50) == 54 <= 100
+    for run in (
+        lambda n: dual.distribution_via_dual(ex5_pair, rho_half, n),
+        lambda n: dual.dual_power(ex5_pair, 0.3, n),
+        lambda n: lattice.evolve(ex5_pair, lattice.initial_state(rho_half), n),
+    ):
+        run(49)
+        with pytest.raises(SizeError):
+            run(50)
 
 
 RHO_OFFDIAG = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
@@ -179,28 +227,76 @@ def test_dual_law_memory_stays_small(ex5_pair, rho_half):
 
 
 def test_symmetry_guard_flags_corrupted_mirror_nodes(monkeypatch, example_pair, rho_half):
-    clean = dual.dual_symbol
+    """Corrupt what the inversion does not read: the mirrored probes in
+    (pi/2, pi), and the imaginary part of the trace at k = 0. The laws stay
+    bit-identical with the guard off, and the guard refuses them."""
+    clean = dual._power_vecs
 
-    def corrupted(kp, k):
-        # perturb every symbol beyond pi, which only the mirrored check nodes reach
-        return clean(kp, k) + 1e-6 * (np.asarray(k) > np.pi)[..., None, None]
+    def corrupted(kp, k, n):
+        v = clean(kp, k, n)
+        v[k > 0.5001 * np.pi] += 1e-6
+        v[k == 0] += 1e-6j * I2.reshape(4)  # Tr(rho0 I) = 1: psi_0 gains 1e-6 i
+        return v
 
-    for n in (1, 7, 40):
-        dual.distribution_via_dual(example_pair, rho_half, n)
-    monkeypatch.setattr(dual, "dual_symbol", corrupted)
-    for n in (1, 7, 40):
+    ns = (1, 7, 40)
+    want = [dual.distribution_via_dual(example_pair, rho_half, n) for n in ns]
+    monkeypatch.setattr(dual, "_power_vecs", corrupted)
+    with monkeypatch.context() as guard_off:
+        guard_off.setattr(dual, "SYMMETRY_TOL", np.inf)
+        for n, w in zip(ns, want):
+            got = dual.distribution_via_dual(example_pair, rho_half, n)
+            assert np.array_equal(got.sites, w.sites) and np.array_equal(got.probs, w.probs)
+    for n in ns:
         with pytest.raises(ResidueError, match="conjugate-symmetry defect"):
             dual.distribution_via_dual(example_pair, rho_half, n)
 
 
+def test_symmetry_guard_reads_the_mirrored_probes_alone(monkeypatch, example_pair, rho_half):
+    clean = dual._power_vecs
+
+    def mirrors_only(kp, k, n):
+        return clean(kp, k, n) + 1e-6 * (k > 0.5001 * np.pi)[:, None]
+
+    monkeypatch.setattr(dual, "_power_vecs", mirrors_only)
+    for n in (7, 40):
+        assert len(dual._probe_indices(dual._grid_size(n))) > 0
+        with pytest.raises(ResidueError, match="conjugate-symmetry defect"):
+            dual.distribution_via_dual(example_pair, rho_half, n)
+
+
+def _parity_spectrum(coeff):
+    """psi on the parity grid of n = len(coeff) - 1, split as _invert_traces
+    takes it: the M/2+1 nodes in [0, pi/2] and the mirrored probes."""
+    size = dual._grid_size(len(coeff) - 1)
+    psi = np.fft.fft(coeff, size)
+    return psi[: size // 2 + 1], psi[size - dual._probe_indices(size)]
+
+
 def test_invert_traces_residue_guard():
     # a real spectrum with a coefficient below the roundoff floor is refused, not filtered
-    coeff = np.zeros(8)
+    coeff = np.zeros(4)
     coeff[0], coeff[1] = 1.0 + 1e-11, -1e-11
-    phi = np.fft.fft(coeff)
-    sites, p = dual._invert_traces(phi[:5], phi[8 - dual._probe_indices(3)], 3)
+    sites, p = dual._invert_traces(*_parity_spectrum(coeff), 3)
+    assert np.array_equal(sites, [-3, -1, 1, 3])
+    np.testing.assert_allclose(p, coeff, rtol=0, atol=1e-16)
     with pytest.raises(ResidueError, match="negative"):
         finalize(sites, p, 3)
+
+
+def test_imaginary_part_at_the_real_nodes_is_refused():
+    """irfft drops Im psi at k = 0 and, for an even grid, at k = pi/2; the
+    guard reads them. At n = 1 (M = 2) they are the only check."""
+    rng = np.random.default_rng(3)
+    for n in (0, 1, 2, 7, 40):
+        coeff = rng.random(n + 1)
+        psi, mirrored = _parity_spectrum(coeff / coeff.sum())
+        dual._invert_traces(psi, mirrored, n)
+        nodes = [0, len(psi) - 1] if dual._grid_size(n) % 2 == 0 else [0]
+        for m in nodes:
+            bad = psi.copy()
+            bad[m] += 1e-6j
+            with pytest.raises(ResidueError, match="conjugate-symmetry defect"):
+                dual._invert_traces(bad, mirrored, n)
 
 
 def test_negated_interior_coefficient_is_refused(ex5_pair, rho_half):
@@ -223,6 +319,7 @@ def test_lattice_and_dual_report_the_same_support(seed, n, rho0):
     lat = lattice.distribution(lattice.evolve(kp, lattice.initial_state(rho0), n))
     dua = dual.distribution_via_dual(kp, rho0, n)
     assert compare(lat, dua)["max_abs"] <= 1e-12
+    assert np.all((dua.sites + n) % 2 == 0)  # no site of the wrong parity is formed
     # a site one engine keeps and the other floors lies within a factor 2 of the floor
     floor = ROUNDOFF_SCALE * (n + 1) * np.finfo(float).eps
     for x in np.setxor1d(lat.sites, dua.sites):
