@@ -322,47 +322,40 @@ def ex5_power_traces(l: int) -> float:
 # -- cutting / unfolding -----------------------------------------------------
 #
 # Expanding the n-th dual power of the ex5 pair gives one term per word in
-# B, C; a word is encoded by its run lengths. Because
-# B*^m B^m + C*^m C^m = ((m^2+2)/3^m) I, the innermost run of a word can be
-# either cut away (weight (m^2+2)/3^m) or unfolded into the surrounding run
-# with flipped type (weight -1). Repeating until one run remains reduces the
-# word to weighted single-power traces: integer combinations of a and b over
-# 3^n for a word of length n, so each site is divided by 3^n once.
+# B, C. Because B*^m B^m + C*^m C^m = ((m^2+2)/3^m) I, the innermost run of a
+# word (m letters) can be either cut away (weight (m^2+2)/3^m) or unfolded
+# into the surrounding run with flipped type (weight -1). Repeating until one
+# run remains reduces the word to weighted single-power traces: integer
+# combinations of a and b over 3^L for a word of length L.
+#
+# A word of length L with a B innermost run is an (L-1)-bit cut mask: bit t
+# marks a run boundary after letter t+1, counted from the outer end. For the
+# top set bit t the innermost run has m = L-1-t letters; cutting it leaves the
+# length-(t+1) word of mask - 2^t, unfolding it the length-L word with bit t
+# cleared, both with a C innermost run. By induction from the single runs, a
+# C-innermost word has the swapped pair and the negated displacement of the
+# B-innermost word with the same runs, so only B-innermost words are stored:
+# one int64 array per length, filled mask range by mask range. That is still
+# exponential in n (2^(n-1) words at length n), hence CUT_UNFOLD_MAX_STEPS.
 
 
-def _displacement(runs: tuple[int, ...], inner_b: bool) -> int:
-    """Net displacement of a word given by its run lengths, outermost first.
-
-    Run types alternate outward from the innermost one (B if inner_b);
-    C runs move right (+), B runs move left (-).
-    """
-    sign = -1 if inner_b else 1
-    return sign * sum(l if i % 2 == 0 else -l for i, l in enumerate(reversed(runs)))
-
-
-def _evaluate(runs: tuple[int, ...], inner_b: bool, memo: dict) -> tuple[int, int]:
-    """The word's trace as the integer pair (A, B): 3^n times its coefficients
-    of a and of b, where n is the word's length."""
-    key = (runs, inner_b)
-    if key not in memo:
-        if len(runs) == 1:
-            l2 = runs[0] * runs[0] + 1
-            memo[key] = (1, l2) if inner_b else (l2, 1)
-        else:
-            m = runs[-1]
-            cut_a, cut_b = _evaluate(runs[:-1], not inner_b, memo)
-            unf_a, unf_b = _evaluate(runs[:-2] + (runs[-2] + m,), not inner_b, memo)
-            memo[key] = ((m * m + 2) * cut_a - unf_a, (m * m + 2) * cut_b - unf_b)
-    return memo[key]
-
-
-def _compositions(n: int):
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in _compositions(n - first):
-            yield (first, *rest)
+def _cut_unfold_tables(n: int) -> tuple[list, list]:
+    """Integer pairs V[L] (shape (2^(L-1), 2), trace (a A + b B)/3^L) and
+    displacements D[L] of the B-innermost words of length L = 1..n, indexed
+    by cut mask. Index 0 of both lists is unused."""
+    V: list = [None]
+    D: list = [None]
+    for L in range(1, n + 1):
+        v = np.empty((1 << (L - 1), 2), dtype=np.int64)
+        d = np.empty(1 << (L - 1), dtype=np.int64)
+        v[0], d[0] = (1, L * L + 1), -L
+        for t in range(L - 1):  # masks [2^t, 2^(t+1)) have top bit t
+            m = L - 1 - t
+            v[1 << t : 2 << t] = (m * m + 2) * V[t + 1][:, ::-1] - v[: 1 << t, ::-1]
+            d[1 << t : 2 << t] = -m - D[t + 1]
+        V.append(v)
+        D.append(d)
+    return V, D
 
 
 def cut_unfold_exact(rho0_diag, n: int) -> dict[int, Fraction]:
@@ -376,15 +369,11 @@ def cut_unfold_exact(rho0_diag, n: int) -> dict[int, Fraction]:
     fb = 1 - fa
     if n == 0:
         return {0: Fraction(1)}
-    memo: dict = {}
-    pairs: dict[int, tuple[int, int]] = {}
-    for runs in _compositions(n):
-        for inner_b in (True, False):
-            x = _displacement(runs, inner_b)
-            A, B = _evaluate(runs, inner_b, memo)
-            A0, B0 = pairs.get(x, (0, 0))
-            pairs[x] = (A0 + A, B0 + B)
-    out = {x: (fa * A + fb * B) / 3**n for x, (A, B) in sorted(pairs.items())}
+    V, D = _cut_unfold_tables(n)
+    S = np.zeros((2 * n + 1, 2), dtype=np.int64)  # row x + n: summed pairs at x
+    np.add.at(S, D[n] + n, V[n])
+    S = S + S[::-1, ::-1]  # the C-innermost words: swapped pairs at -x
+    out = {x: (fa * A + fb * B) / 3**n for x, (A, B) in enumerate(S.tolist(), start=-n)}
     return {x: v for x, v in out.items() if v}
 
 

@@ -45,10 +45,11 @@ def dual_symbol(kp: KrausPair, k) -> np.ndarray:
 
     For an array of momenta the symbols are stacked: shape k.shape + (4, 4).
     """
-    B, C = kp
-    # L_{B*} R_B = kron(B*, B^T); the e^{+ik} factor goes with the B part.
+    # L_{M*} R_M = kron(M*, M^T), formed as one broadcast product; the e^{+ik}
+    # factor goes with the B part.
+    LB, LC = ((M.conj().T[:, None, :, None] * M.T[None, :, None, :]).reshape(4, 4) for M in kp)
     phase = np.exp(1j * np.asarray(k, dtype=float))[..., None, None]
-    return phase * np.kron(B.conj().T, B.T) + np.kron(C.conj().T, C.T) / phase
+    return phase * LB + LC / phase
 
 
 def _check_steps(n: int) -> None:

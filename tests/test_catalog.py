@@ -297,9 +297,12 @@ def test_power_traces():
 # ---- cutting / unfolding ---------------------------------------------------
 
 
-# A word is given by its run lengths, outermost first, and the type of its
-# innermost run (inner_b); _evaluate shortens it to single-run traces and
-# returns the integer pair (A, B) with trace (a A + b B) / 3^n.
+# A word of length L with a B innermost run is an (L-1)-bit cut mask: bit t
+# marks a run boundary after letter t+1, counted from the outer end.
+# _cut_unfold_tables(n) returns, for L = 1..n, the integer pairs V[L][mask]
+# = (A, B), with trace (a A + b B) / 3^L, and the displacements D[L][mask].
+# The C-innermost word with the same runs has the swapped pair and the
+# negated displacement.
 
 HALF = Fraction(1, 2)
 
@@ -309,11 +312,54 @@ def _trace(pair, n, a, b):
     return (a * A + b * B) / 3**n
 
 
+def _word(L, mask, inner_b):
+    """(pair, displacement) of one word of length L, read from the tables."""
+    V, D = catalog._cut_unfold_tables(L)
+    (A, B), x = V[L][mask].tolist(), int(D[L][mask])
+    return ((A, B), x) if inner_b else ((B, A), -x)
+
+
 def test_displacement_alternates_from_inner_run():
-    assert catalog._displacement((1, 3), False) == 2
-    assert catalog._displacement((1, 3), True) == -2
-    assert catalog._displacement((2, 1, 1), True) == -2
-    assert catalog._displacement((1, 1, 1, 1), False) == 0
+    assert _word(4, 1, False)[1] == 2  # (1, 3)
+    assert _word(4, 1, True)[1] == -2
+    assert _word(4, 6, True)[1] == -2  # (2, 1, 1)
+    assert _word(4, 7, False)[1] == 0  # (1, 1, 1, 1)
+
+
+def test_tables_match_the_words_letter_by_letter():
+    # an independent evaluation: W = M_L ... M_1 with the innermost letter
+    # leftmost, in the integer forms B' = [[1,1],[0,1]] and C' = [[1,0],[-1,1]],
+    # so that 3^L W*W = W'^T W' and (A, B) is its diagonal
+    letters = {True: np.array([[1, 1], [0, 1]]), False: np.array([[1, 0], [-1, 1]])}
+    V, D = catalog._cut_unfold_tables(10)
+    for L in range(1, 11):
+        for mask in range(1 << (L - 1)):
+            # letter L is B; the type flips across every set bit
+            is_b = [True] * L
+            for i in range(L - 2, -1, -1):
+                is_b[i] = is_b[i + 1] != bool(mask >> i & 1)
+            W = np.eye(2, dtype=np.int64)
+            for b in is_b:
+                W = letters[b] @ W
+            G = W.T @ W
+            assert V[L][mask].tolist() == [G[0, 0], G[1, 1]]
+            assert D[L][mask] == sum(-1 if b else 1 for b in is_b)
+
+
+def test_pairs_stay_in_int64_headroom():
+    # each pair is 3^L times a diagonal entry of W*W <= I
+    V, _ = catalog._cut_unfold_tables(catalog.CUT_UNFOLD_MAX_STEPS)
+    for L in range(1, catalog.CUT_UNFOLD_MAX_STEPS + 1):
+        assert V[L].dtype == np.int64 and V[L].shape == (1 << (L - 1), 2)
+        assert V[L].min() >= 0 and V[L].max() <= 3**L
+
+
+def test_pairs_sum_to_the_identity():
+    # unitality: summed over all 2^L words, the mirror included, W*W sums to I
+    V, D = catalog._cut_unfold_tables(catalog.CUT_UNFOLD_MAX_STEPS)
+    for L in range(1, catalog.CUT_UNFOLD_MAX_STEPS + 1):
+        assert (V[L] + V[L][:, ::-1]).sum(axis=0).tolist() == [3**L, 3**L]
+        assert np.all((D[L] + L) % 2 == 0) and np.abs(D[L]).max() <= L
 
 
 def _ex5_lattice_exact(a, n):
@@ -345,37 +391,40 @@ def _ex5_lattice_exact(a, n):
 
 @pytest.mark.parametrize("a", [0.0, 0.37, 0.5, 1.0])
 def test_cut_unfold_equals_exact_lattice(a):
-    for n in range(13):
+    for n in range(catalog.CUT_UNFOLD_MAX_STEPS + 1):
         assert catalog.cut_unfold_exact((a, 1.0 - a), n) == _ex5_lattice_exact(a, n)
 
 
 def test_cut_and_unfold_mechanics():
-    # shortening (1, 3) with a B innermost run: cutting the run of length 3
-    # leaves (1,) with a C innermost run and weight 11/27; unfolding merges it
-    # into (4,), again C innermost, with weight -1
+    # (1, 3) with a B innermost run is mask 1 at L = 4, top bit t = 0, m = 3:
+    # cutting the run leaves (1,) with a C innermost run and weight 11/27;
+    # unfolding merges it into (4,), again C innermost, with weight -1. Both
+    # single runs appear as swaps of the B-innermost pairs (1, 2) and (1, 17).
     a, b = Fraction(1, 3), Fraction(2, 3)
-    memo: dict = {}
-    pair = catalog._evaluate((1, 3), True, memo)
-    assert set(memo) == {((1, 3), True), ((1,), False), ((4,), False)}
-    assert memo[((1,), False)] == (2, 1) and memo[((4,), False)] == (17, 1)
+    V, _ = catalog._cut_unfold_tables(4)
+    cut, unfolded = tuple(V[1][0, ::-1].tolist()), tuple(V[4][0, ::-1].tolist())
+    assert cut == (2, 1) and unfolded == (17, 1)
+    pair = tuple(V[4][1].tolist())
     assert pair == (11 * 2 - 17, 11 * 1 - 1)
     val = _trace(pair, 4, a, b)
-    assert val == Fraction(11, 27) * _trace(memo[((1,), False)], 1, a, b) - _trace(memo[((4,), False)], 4, a, b)
+    assert val == Fraction(11, 27) * _trace(cut, 1, a, b) - _trace(unfolded, 4, a, b)
     assert val == Fraction(25, 243)
 
 
 def test_worked_contributions_at_n4():
-    # the four length-4 words landing at x = -2, evaluated with rho0 = I/2;
-    # mirror words land at +2 with the same weights
+    # the four length-4 words landing at x = -2, evaluated with rho0 = I/2:
+    # (1, 3), (1, 1, 2) and (2, 1, 1) with a B innermost run, and (3, 1) with
+    # a C innermost run; mirror words land at +2 with the same weights
     cases = {
-        ((1, 3), True): Fraction(5, 54),
-        ((3, 1), False): Fraction(5, 54),
-        ((1, 1, 2), True): Fraction(1, 54),
-        ((2, 1, 1), True): Fraction(1, 54),
+        (1, True): Fraction(5, 54),
+        (4, False): Fraction(5, 54),
+        (3, True): Fraction(1, 54),
+        (6, True): Fraction(1, 54),
     }
-    for (runs, inner_b), expected in cases.items():
-        assert catalog._displacement(runs, inner_b) == -2
-        assert _trace(catalog._evaluate(runs, inner_b, {}), 4, HALF, HALF) == expected
+    for (mask, inner_b), expected in cases.items():
+        pair, x = _word(4, mask, inner_b)
+        assert x == -2
+        assert _trace(pair, 4, HALF, HALF) == expected
     assert sum(cases.values()) == Fraction(2, 9)
 
 
@@ -386,7 +435,7 @@ def test_manual_shortening_equals_evaluator():
     trace_c1 = (a * 2 + b) / 3
     trace_c4 = (a * 17 + b) / 81
     manual = Fraction(11, 27) * trace_c1 - trace_c4
-    assert manual == _trace(catalog._evaluate((1, 3), True, {}), 4, a, b)
+    assert manual == _trace(_word(4, 1, True)[0], 4, a, b)
 
 
 def test_exact_law_at_n4():
@@ -405,6 +454,17 @@ def test_exact_mass_and_symmetry():
         law = catalog.cut_unfold_exact((0.5, 0.5), n)
         assert sum(law.values()) == 1
         assert all(law[x] == law[-x] for x in law)
+
+
+@pytest.mark.parametrize("a", [0.5, 0.6, 0.8, 0.987654321, 1.0])
+def test_swapped_start_mirrors_the_law(a):
+    # 1 - a is exact in floating point for a in [1/2, 1], so the two starts
+    # are exactly (a, b) and (b, a)
+    assert Fraction(1 - a) == 1 - Fraction(a)
+    for n in range(catalog.CUT_UNFOLD_MAX_STEPS + 1):
+        law = catalog.cut_unfold_exact((a, 1 - a), n)
+        swapped = catalog.cut_unfold_exact((1 - a, a), n)
+        assert swapped == {-x: v for x, v in law.items()}
 
 
 def test_exact_law_asymmetric_start_sums_to_one():

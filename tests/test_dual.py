@@ -50,6 +50,19 @@ def test_ex5_symbol_matches_explicit_matrix(ex5_pair):
     np.testing.assert_allclose(dual.dual_symbol(ex5_pair, k), explicit, atol=1e-15)
 
 
+def test_symbol_equals_the_kron_formula_bit_for_bit(example_pair):
+    """Each Kronecker entry is one product, so the broadcast form is exact."""
+    rng = np.random.default_rng(11)
+    for kp in [example_pair, *make_random_pairs(6, 12)]:
+        B, C = kp
+        for k in (0.0, 0.7331, rng.uniform(-np.pi, np.pi, size=9), rng.uniform(-4, 4, size=(2, 3))):
+            phase = np.exp(1j * np.asarray(k, dtype=float))[..., None, None]
+            want = phase * np.kron(B.conj().T, B.T) + np.kron(C.conj().T, C.T) / phase
+            got = dual.dual_symbol(kp, k)
+            assert got.shape == np.shape(k) + (4, 4)
+            assert np.array_equal(got, want)
+
+
 def test_dual_power_binary_equals_iterate(example_pair):
     """Square-and-multiply agrees with applying the symbol n times to vec(I)."""
     op = dual.dual_symbol(example_pair, 0.9)
