@@ -296,7 +296,7 @@ def _add_kraus_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     _add_kraus_flags(p)
-    p.add_argument("--rho0", help="initial internal state as JSON matrix (default I/2)")
+    p.add_argument("--rho0", help="initial internal state as JSON [[re,im],...] rows (default I/2)")
     p.add_argument("--steps", type=int, help="number of walk steps")
     p.add_argument("--seed", type=int, help="RNG seed (trajectory method)")
     p.add_argument("--traj", type=int, help="number of trajectories (trajectory method)")

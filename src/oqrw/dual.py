@@ -1,25 +1,35 @@
 """Distribution of the walk through the dual process and Fourier inversion.
 
 The dual symbol at momentum k is the 4x4 superoperator
-e^{ik} L_{B*} R_B + e^{-ik} L_{C*} R_C on row-major vecs, vec(A) = A.reshape(4);
-applying its n-th power to vec(I) gives Y_n(k), and
+S(k) = e^{ik} L_{B*} R_B + e^{-ik} L_{C*} R_C on row-major vecs,
+vec(A) = A.reshape(4); applying its n-th power to vec(I) gives Y_n(k), and
 
     p_x = (1/2pi) integral over (-pi, pi] of e^{ikx} Tr(rho0 Y_n(k)) dk.
 
+The powering runs in real Pauli coordinates. U, whose column a is vec(s_a)
+(s_0 = I, s_x, s_y, s_z), has entries 0, +-1 and +-i and U* U = 2, so the
+real Heisenberg maps H = Re(U* L U) / 2 of the two kron factors L are formed
+with no rounding but that of the sums, and U* S(k) U / 2 = e^{ik} H_B +
+e^{-ik} H_C. The observable I never leaves the coordinates that it reaches
+under H_B and H_C: {I, s_z} for ex1-ex3, {I, s_x} for ex4, {I, s_x, s_z} for
+ex5 and all four for a generic pair. Only that d x d block is powered.
+
 Every step moves the walker by +-1, so p_x = 0 unless x = n (mod 2), and
 
-    psi(k) = e^{-ikn} Tr(rho0 Y_n(k)) = sum_j c_j e^{-2ikj},  c_j = p_{-n+2j},
+    psi(k) = e^{-ikn} Tr(rho0 Y_n(k)) = r . T(z)^n e_0 = sum_j c_j z^j,
+    T(z) = H_B + z H_C,  z = e^{-2ik},  c_j = p_{-n+2j},
 
-a polynomial of degree n in e^{-2ik} with n+1 real coefficients. At the M
-nodes k_m = pi m / M, with M >= n+1, psi is the length-M discrete Fourier
-transform of c, so an inverse FFT recovers c exactly up to rounding. M is the
-smallest 2^a 3^b 5^c >= n+1, a fast FFT length. The coefficients are real, so
-psi at pi - k is the conjugate of psi at k: only the M/2+1 nodes in [0, pi/2]
-are evolved, and a real inverse FFT of length M returns the n+1 weights of the
+where e_0 is the coordinate vector of I and r_a = Tr(rho0 s_a): a polynomial
+of degree n in z with n+1 real coefficients. At the M nodes k_m = pi m / M,
+with M >= n+1, psi is the length-M discrete Fourier transform of c, so an
+inverse FFT recovers c exactly up to rounding. M is the smallest
+2^a 3^b 5^c >= n+1, a fast FFT length. The coefficients are real, so psi at
+pi - k is the conjugate of psi at k: only the M/2+1 nodes in [0, pi/2] are
+evolved, and a real inverse FFT of length M returns the n+1 weights of the
 walk's parity class. A few mirrored nodes in (pi/2, pi) are evolved as well,
 to check that symmetry, together with the imaginary parts that the real
 inverse FFT drops. The bound of 2n+2 nodes (`_check_steps`) is only the size
-guard. The initial state never enters the k-evolution; it appears only in the
+guard. The initial state never enters the evolution; it appears only in the
 final trace.
 """
 
@@ -27,17 +37,32 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import I2, KrausPair, check_size, density_matrix
+from .core import PAULI, KrausPair, check_size, density_matrix
 from .distribution import Distribution, finalize
 from .exceptions import ResidueError
 
 SYMMETRY_TOL = 1e-9
 SYMMETRY_PROBES = 8
-# nodes powered together: a (4, 4, 2048) complex base, its square and one
-# product term take 1.5 MB, which stays in a typical core's L2 cache through
-# the squarings; of chunks of 1024 to 4096 nodes, 1536 and 2048 were fastest
-# at n = 1e5 on a 2-CPU Xeon with 2 MB of L2 per core
+# nodes powered together: a (d, d, 2048) complex base, its square and one
+# product term take at most 1.5 MB (d = 4), which stays in a typical core's L2
+# cache through the squarings. Of chunks of 1024 to 8192 nodes, 2048 was the
+# fastest at n = 1e5 for d = 3 and d = 4 on a 2-CPU Xeon with 2 MB of L2 per
+# core; d = 2 ran 20 ms at 2048 and 15 ms at 8192.
 _NODE_CHUNK = 2048
+# column a is vec(s_a), the row-major vec of the Pauli matrix s_a (s_0 = I)
+_U = PAULI.reshape(4, 4).T.astype(complex)
+_U_H = _U.conj().T.copy()
+_U_HALF = _U / 2
+# a coupling of the Heisenberg maps counts as real above this fraction of
+# their largest entry; the sums that form an entry round by about 2 eps of it
+_REACH_RTOL = 4 * np.finfo(float).eps
+
+
+def _kron_factors(kp: KrausPair) -> np.ndarray:
+    """L_{B*} R_B and L_{C*} R_C, i.e. kron(M*, M^T) for M = B, C, stacked as
+    shape (2, 4, 4) by one broadcast product: each entry is one product."""
+    T = np.array((kp.B, kp.C)).transpose(0, 2, 1)
+    return (T.conj()[:, :, None, :, None] * T[:, None, :, None, :]).reshape(2, 4, 4)
 
 
 def dual_symbol(kp: KrausPair, k) -> np.ndarray:
@@ -45,11 +70,35 @@ def dual_symbol(kp: KrausPair, k) -> np.ndarray:
 
     For an array of momenta the symbols are stacked: shape k.shape + (4, 4).
     """
-    # L_{M*} R_M = kron(M*, M^T), formed as one broadcast product; the e^{+ik}
-    # factor goes with the B part.
-    LB, LC = ((M.conj().T[:, None, :, None] * M.T[None, :, None, :]).reshape(4, 4) for M in kp)
+    LB, LC = _kron_factors(kp)  # the e^{+ik} factor goes with the B part
     phase = np.exp(1j * np.asarray(k, dtype=float))[..., None, None]
     return phase * LB + LC / phase
+
+
+def _pauli_maps(kp: KrausPair) -> np.ndarray:
+    """The real Heisenberg maps (H_B, H_C) of X -> B*XB and X -> C*XC on the
+    coordinates Tr(s_a X), shape (2, 4, 4): H = Re(U* L U) / 2 for the kron
+    factors L. U's entries are 0, +-1 and +-i, so only the sums round."""
+    return (_U_H @ _kron_factors(kp) @ _U_HALF).real
+
+
+def _reachable_block(kp: KrausPair) -> tuple[np.ndarray, np.ndarray]:
+    """The Heisenberg maps restricted to the Pauli coordinates that I = s_0
+    reaches under H_B and H_C, shape (2, d, d), and the columns of U for those
+    coordinates, shape (4, d): coordinate 0 first, the others in increasing
+    order. Coordinate a is reached from b when |H_B[a, b]| + |H_C[a, b]|
+    exceeds _REACH_RTOL times the largest such sum; the maps send the span of
+    the reached coordinates into itself up to the couplings below that bound."""
+    H = _pauli_maps(kp)
+    weight = np.abs(H).sum(axis=0)
+    linked = (weight > _REACH_RTOL * weight.max()).tolist()
+    keep = [0]
+    for b in keep:  # keep grows while it is walked: a breadth-first search
+        keep += [a for a in range(4) if linked[a][b] and a not in keep]
+    if len(keep) == 4:
+        return H, _U
+    keep.sort()
+    return H.take(keep, 1).take(keep, 2), _U.take(keep, 1)
 
 
 def _check_steps(n: int) -> None:
@@ -72,40 +121,51 @@ def _grid_size(n: int) -> int:
     return best
 
 
-def _power_vecs(kp: KrausPair, k: np.ndarray, n: int) -> np.ndarray:
-    """vec(Y_n) at each momentum of the 1-d array k, shape (len(k), 4): the
-    n-th power of the dual symbol applied to vec(I), by square-and-multiply.
+def _power_vecs(H: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
+    """T(z)^n e_0 at each point of the 1-d complex array z, shape (len(z), d),
+    where T(z) = H[0] + z H[1] is a d x d block of _reachable_block and e_0
+    the coordinates of I; by square-and-multiply.
 
-    The nodes are powered _NODE_CHUNK at a time, in structure-of-arrays form:
-    a chunk's symbols are one contiguous (4, 4, m) array, a squaring is four
+    The points are powered _NODE_CHUNK at a time, in structure-of-arrays form:
+    a chunk's blocks are one contiguous (d, d, m) array, a squaring is d
     broadcast products summed over the inner index, and the chunk stays in
     cache through all its squarings. The vectors accumulate the powers
-    S^(2^i) for the set bits of n; powers of one symbol commute, so the order
-    does not matter. Each node's arithmetic is the same for any chunking.
+    T^(2^i) for the set bits of n; powers of one block commute, so the order
+    does not matter. Each point's arithmetic is the same for any chunking.
     """
-    out = np.empty((len(k), 4), dtype=complex)
-    for lo in range(0, len(k), _NODE_CHUNK):
-        base = np.ascontiguousarray(dual_symbol(kp, k[lo : lo + _NODE_CHUNK]).transpose(1, 2, 0))
+    d = H.shape[1]
+    HB, HC = H[..., None]
+    out = np.empty((len(z), d), dtype=complex)
+    for lo in range(0, len(z), _NODE_CHUNK):
+        base = HB + z[lo : lo + _NODE_CHUNK] * HC
         square, term = np.empty_like(base), np.empty_like(base)
-        v = np.repeat(I2.reshape(4, 1), base.shape[2], axis=1)
+        v = None  # e_0, until the first set bit makes it base[:, 0]
         bits = n
         while bits:
-            if bits & 1:
-                v = base[:, 0] * v[0] + base[:, 1] * v[1] + base[:, 2] * v[2] + base[:, 3] * v[3]
+            if bits & 1 and v is None:
+                v = base[:, 0].copy()
+            elif bits & 1:
+                acc = base[:, 0] * v[0]
+                for j in range(1, d):
+                    acc += base[:, j] * v[j]
+                v = acc
             bits >>= 1
             if bits:
                 np.multiply(base[:, 0, None], base[None, 0], out=square)
-                for j in range(1, 4):
+                for j in range(1, d):
                     square += np.multiply(base[:, j, None], base[None, j], out=term)
                 base, square = square, base
-        out[lo : lo + _NODE_CHUNK] = v.T
+        out[lo : lo + _NODE_CHUNK] = np.eye(1, d) if v is None else v.T
     return out
 
 
 def dual_power(kp: KrausPair, k: float, n: int) -> np.ndarray:
     """Y_n(k) as a 2x2 matrix."""
     _check_steps(n)
-    return _power_vecs(kp, np.array([k], dtype=float), n)[0].reshape(2, 2)
+    H, U = _reachable_block(kp)
+    y = _power_vecs(H, np.exp(-2j * np.array([k], dtype=float)), n)[0]
+    # S(k) = e^{ik} U T(e^{-2ik}) U* / 2, so vec(Y_n) = e^{ikn} U T^n e_0
+    return (np.exp(1j * k * n) * (U @ y)).reshape(2, 2)
 
 
 def _probe_indices(size: int) -> np.ndarray:
@@ -149,10 +209,10 @@ def distribution_via_dual(kp: KrausPair, rho0, n: int) -> Distribution:
     size = _grid_size(n)
     half = size // 2 + 1
     m = np.concatenate([np.arange(half), size - _probe_indices(size)])
-    v = _power_vecs(kp, np.pi * m / size, n)
-    # Tr(rho0 Y) = vec(rho0^T) . vec(Y); the phase e^{-ik_m n} is reduced
-    # exactly in integers: m n < size (n + 1) <= 2 (n + 1)^2 fits in int64
-    psi = (v @ rho0.T.reshape(4)) * np.exp(-1j * np.pi * (m * n % (2 * size)) / size)
+    # psi(k) = e^{-ikn} Tr(rho0 Y_n(k)) = r . T(z)^n e_0 at z = e^{-2ik}, with
+    # r_a = Tr(rho0 s_a) = vec(rho0^T) . vec(s_a)
+    H, U = _reachable_block(kp)
+    psi = _power_vecs(H, np.exp(-2j * np.pi / size * m), n) @ (rho0.T.reshape(4) @ U)
     return finalize(*_invert_traces(psi[:half], psi[half:], n), n)
 
 

@@ -80,6 +80,19 @@ def test_dist_rho0_flag(capsys):
     assert d.items() == [(-5, 1.0)]
 
 
+def test_rho0_help_names_the_pair_form_that_runs(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["dist", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "--rho0 RHO0 initial internal state as JSON [[re,im],...] rows" in help_text
+    rho = "[[[0.7,0],[0.2,-0.1]],[[0.2,0.1],[0.3,0]]]"
+    assert cli.main(["dist", "--example", "ex5", "--steps", "7", "--method", "dual", "--rho0", rho]) == 0
+    d = Distribution.from_csv_text(capsys.readouterr().out)
+    assert d.total() == pytest.approx(1.0, abs=1e-12)
+    assert cli.main(["dist", "--example", "ex5", "--steps", "7", "--rho0", "[[0.3,0],[0,0.7]]"]) == 2
+    assert "[re, im] pairs" in capsys.readouterr().err
+
+
 def test_sample_reports_and_writes(tmp_path, capsys):
     out = tmp_path / "emp.csv"
     code = cli.main(

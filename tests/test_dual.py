@@ -214,16 +214,24 @@ def test_laws_do_not_depend_on_the_node_chunk(monkeypatch):
 
 
 def test_power_vecs_matches_matrix_power_per_node():
-    """The chunked powering against numpy's matrix_power node by node, over
-    enough nodes that the last chunk is a partial one."""
+    """The chunked powering of the reduced block against numpy's matrix_power
+    node by node, over enough nodes that the last chunk is a partial one, and
+    mapped back through U against the n-th power of the 4x4 dual symbol."""
     kp = random_kraus_pair(np.random.default_rng(43))
-    for n in (0, 5000):
+    H, U = dual._reachable_block(kp)
+    for n in (0, 63, 5000):
         size = 2 * n + 2
         k = 2 * np.pi * np.arange(n + 10) / size
-        got = dual._power_vecs(kp, k, n)
+        z = np.exp(-2j * k)
+        got = dual._power_vecs(H, z, n)
         assert got.shape == (n + 10, 4)
-        want = np.linalg.matrix_power(dual.dual_symbol(kp, k), n) @ I2.reshape(4)
+        want = np.linalg.matrix_power(H[0] + z[:, None, None] * H[1], n)[..., 0]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        # both routes round the phase e^{ikn} about once per step
+        symbol = np.linalg.matrix_power(dual.dual_symbol(kp, k), n) @ I2.reshape(4)
+        np.testing.assert_allclose(
+            np.exp(1j * k * n)[:, None] * (got @ U.T), symbol, rtol=0, atol=4 * (n + 1) * np.finfo(float).eps
+        )
 
 
 def test_dual_law_memory_stays_small(ex5_pair, rho_half):
@@ -239,16 +247,21 @@ def test_dual_law_memory_stays_small(ex5_pair, rho_half):
     assert peak < 8e6
 
 
+# The grid points z_m = e^{-2ik_m}: the M/2+1 nodes in [0, pi/2] have
+# Im z <= 0, the mirrored probes in (pi/2, pi) have Im z >= sin(2pi/M) > 0,
+# and k = 0 is z = 1 exactly.
+
+
 def test_symmetry_guard_flags_corrupted_mirror_nodes(monkeypatch, example_pair, rho_half):
     """Corrupt what the inversion does not read: the mirrored probes in
     (pi/2, pi), and the imaginary part of the trace at k = 0. The laws stay
     bit-identical with the guard off, and the guard refuses them."""
     clean = dual._power_vecs
 
-    def corrupted(kp, k, n):
-        v = clean(kp, k, n)
-        v[k > 0.5001 * np.pi] += 1e-6
-        v[k == 0] += 1e-6j * I2.reshape(4)  # Tr(rho0 I) = 1: psi_0 gains 1e-6 i
+    def corrupted(H, z, n):
+        v = clean(H, z, n)
+        v[z.imag > 1e-9] += 1e-6
+        v[z == 1, 0] += 1e-6j  # coordinate 0 is I, and Tr(rho0 I) = 1: psi_0 gains 1e-6 i
         return v
 
     ns = (1, 7, 40)
@@ -267,14 +280,75 @@ def test_symmetry_guard_flags_corrupted_mirror_nodes(monkeypatch, example_pair, 
 def test_symmetry_guard_reads_the_mirrored_probes_alone(monkeypatch, example_pair, rho_half):
     clean = dual._power_vecs
 
-    def mirrors_only(kp, k, n):
-        return clean(kp, k, n) + 1e-6 * (k > 0.5001 * np.pi)[:, None]
+    def mirrors_only(H, z, n):
+        return clean(H, z, n) + 1e-6 * (z.imag > 1e-9)[:, None]
 
     monkeypatch.setattr(dual, "_power_vecs", mirrors_only)
     for n in (7, 40):
         assert len(dual._probe_indices(dual._grid_size(n))) > 0
         with pytest.raises(ResidueError, match="conjugate-symmetry defect"):
             dual.distribution_via_dual(example_pair, rho_half, n)
+
+
+def test_identity_reaches_the_documented_pauli_block():
+    """I reaches {I, sz} for ex1-ex3, {I, sx} for ex4, {I, sx, sz} for ex5
+    and all four coordinates of a generic pair."""
+    axes = {"ex1": [0, 3], "ex2": [0, 3], "ex3": [0, 3], "ex4": [0, 1], "ex5": [0, 1, 3]}
+    for spec in catalog.all_examples():
+        H, U = dual._reachable_block(catalog.build(spec))
+        d = len(axes[spec.id])
+        assert H.shape == (2, d, d)
+        assert np.array_equal(U, dual._U[:, axes[spec.id]])
+    for kp in make_random_pairs(8, seed=47):
+        H, U = dual._reachable_block(kp)
+        assert H.shape == (2, 4, 4) and np.array_equal(U, dual._U)
+
+
+def test_reduced_block_gives_the_full_block_laws(monkeypatch):
+    """With the threshold at -1 every pair keeps all four coordinates; the
+    reduced block gives the same support and laws within (n+1) eps."""
+    rho0s = (np.eye(2) / 2, RHO_OFFDIAG)
+    pairs = [catalog.build(spec) for spec in catalog.all_examples()]
+    ns = (1, 63, 3000)
+    want = [[dual.distribution_via_dual(kp, rho0, n) for n in ns for rho0 in rho0s] for kp in pairs]
+    monkeypatch.setattr(dual, "_REACH_RTOL", -1.0)
+    for kp, laws in zip(pairs, want):
+        assert dual._reachable_block(kp)[0].shape == (2, 4, 4)
+        full = [dual.distribution_via_dual(kp, rho0, n) for n in ns for rho0 in rho0s]
+        for n, got, w in zip(np.repeat(ns, len(rho0s)), full, laws):
+            assert np.array_equal(got.sites, w.sites)
+            assert np.max(np.abs(got.probs - w.probs)) <= (n + 1) * np.finfo(float).eps
+
+
+def test_a_small_real_coupling_keeps_every_coordinate():
+    """ex4 turned by a unitary 1e-9 from the identity couples I to sy and sz
+    by about 1e-9: far above roundoff, so nothing is dropped."""
+    axis = np.array([1.0, 2.0, 3.0]) / np.sqrt(14)
+    V = np.cos(1e-9) * I2 + 1j * np.sin(1e-9) * np.tensordot(axis, core.PAULI[1:], axes=1)
+    B, C = catalog.build(catalog.ExampleSpec("ex4"))
+    kp = core.validate_kraus_pair(B @ V, C @ V)
+    assert dual._reachable_block(kp)[0].shape == (2, 4, 4)
+    coupling = np.abs(dual._pauli_maps(kp)[:, 2:, :2]).max()
+    assert 1e-11 < coupling < 1e-8
+    for n in (1, 63, 1000):
+        lat = lattice.distribution(lattice.evolve(kp, lattice.initial_state(RHO_OFFDIAG), n))
+        assert compare(dual.distribution_via_dual(kp, RHO_OFFDIAG, n), lat)["max_abs"] <= 1e-12
+
+
+def test_heisenberg_maps_are_the_transposed_branch_maps():
+    """The dual derives H_B, H_C from its own kron factors; they are the
+    transposes of the forward engines' branch maps, and the symbol in the
+    basis U is e^{ik} H_B + e^{-ik} H_C."""
+    pairs = [catalog.build(spec) for spec in catalog.all_examples()] + make_random_pairs(6, seed=53)
+    k = np.array([0.0, 0.7331, -2.2, np.pi / 2])
+    for kp in pairs:
+        H = dual._pauli_maps(kp)
+        assert H.dtype == float and H.shape == (2, 4, 4)
+        for Hi, M in zip(H, core.branch_maps(kp)):
+            np.testing.assert_allclose(Hi, M.T, rtol=0, atol=1e-15)
+        in_basis = dual._U.conj().T @ dual.dual_symbol(kp, k) @ dual._U / 2
+        want = np.exp(1j * k)[:, None, None] * H[0] + np.exp(-1j * k)[:, None, None] * H[1]
+        np.testing.assert_allclose(in_basis, want, rtol=0, atol=1e-15)
 
 
 def _parity_spectrum(coeff):
