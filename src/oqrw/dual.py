@@ -6,21 +6,28 @@ vec(A) = A.reshape(4); applying its n-th power to vec(I) gives Y_n(k), and
 
     p_x = (1/2pi) integral over (-pi, pi] of e^{ikx} Tr(rho0 Y_n(k)) dk.
 
-The powering runs in real Pauli coordinates. U, whose column a is vec(s_a)
-(s_0 = I, s_x, s_y, s_z), has entries 0, +-1 and +-i and U* U = 2, so the
-real Heisenberg maps H = Re(U* L U) / 2 of the two kron factors L are formed
-with no rounding but that of the sums, and U* S(k) U / 2 = e^{ik} H_B +
-e^{-ik} H_C. The observable I never leaves the coordinates that it reaches
-under H_B and H_C: {I, s_z} for ex1-ex3, {I, s_x} for ex4, {I, s_x, s_z} for
-ex5 and all four for a generic pair. Only that d x d block is powered.
+The powering runs in real coordinates on the basis V = (E00, E11, s_x, s_y)
+of the 2x2 matrices, with Eij = |i><j| and s_x, s_y the Pauli matrices. The
+matrix of V, whose column a is vec(V_a), has entries 0, +-1 and +-i, and
+the coordinates of X are Tr(V_a* X) / w_a with w = (1, 1, 2, 2), so the
+real Heisenberg maps H = Re(V* L V) / w of the two kron factors L are formed
+with no rounding but that of the sums, and V* S(k) V / w = e^{ik} H_B +
+e^{-ik} H_C. On the diagonal sector {E00, E11} an entry of H is a single
+entry of L, as in the computational basis, so the fixed point
+I = E00 + E11 of H_B + H_C is kept to the roundoff of single products. (In
+Pauli coordinates an entry such as (1 + p)/2 rounds, and a weight that
+should be exactly 1 drifted by about n eps / 4.) The observable I never
+leaves the coordinates that it reaches under H_B and H_C: {E00, E11} for
+ex1-ex3, {E00, E11, s_x} for ex4 and ex5 and all four for a generic pair.
+Only that d x d block is powered.
 
 Every step moves the walker by +-1, so p_x = 0 unless x = n (mod 2), and
 
-    psi(k) = e^{-ikn} Tr(rho0 Y_n(k)) = r . T(z)^n e_0 = sum_j c_j z^j,
+    psi(k) = e^{-ikn} Tr(rho0 Y_n(k)) = r . T(z)^n e = sum_j c_j z^j,
     T(z) = H_B + z H_C,  z = e^{-2ik},  c_j = p_{-n+2j},
 
-where e_0 is the coordinate vector of I and r_a = Tr(rho0 s_a): a polynomial
-of degree n in z with n+1 real coefficients. At the M nodes k_m = pi m / M,
+where e = (1, 1, 0, 0) holds the coordinates of I and r_a = Tr(rho0 V_a):
+a polynomial of degree n in z with n+1 real coefficients. At the M nodes k_m = pi m / M,
 with M >= n+1, psi is the length-M discrete Fourier transform of c, so an
 inverse FFT recovers c exactly up to rounding. M is the smallest
 2^a 3^b 5^c >= n+1, a fast FFT length. The coefficients are real, so psi at
@@ -37,7 +44,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import PAULI, KrausPair, check_size, density_matrix
+from .core import KrausPair, check_size, density_matrix
 from .distribution import Distribution, finalize
 from .exceptions import ResidueError
 
@@ -49,10 +56,13 @@ SYMMETRY_PROBES = 8
 # fastest at n = 1e5 for d = 3 and d = 4 on a 2-CPU Xeon with 2 MB of L2 per
 # core; d = 2 ran 20 ms at 2048 and 15 ms at 8192.
 _NODE_CHUNK = 2048
-# column a is vec(s_a), the row-major vec of the Pauli matrix s_a (s_0 = I)
-_U = PAULI.reshape(4, 4).T.astype(complex)
-_U_H = _U.conj().T.copy()
-_U_HALF = _U / 2
+# column a is vec(V_a) for the basis V = (E00, E11, s_x, s_y); the
+# coordinates of X are Tr(V_a* X) / w_a with w = (1, 1, 2, 2), and those of
+# I are (1, 1, 0, 0). Row-major, vec(A X B) = kron(A, B^T) vec(X), so
+# vec(diag(1/w) V* L V) = vec(L) @ _TO_V: each entry of _TO_V is 0, +-1,
+# +-1/2, +-i or +-i/2, and the product rounds only the sums.
+_V = np.array([[1, 0, 0, 0], [0, 0, 1, -1j], [0, 0, 1, 1j], [0, 1, 0, 0]])
+_TO_V = np.kron(_V.conj().T / np.array([1, 1, 2, 2])[:, None], _V.T).T.copy()
 # a coupling of the Heisenberg maps counts as real above this fraction of
 # their largest entry; the sums that form an entry round by about 2 eps of it
 _REACH_RTOL = 4 * np.finfo(float).eps
@@ -75,30 +85,31 @@ def dual_symbol(kp: KrausPair, k) -> np.ndarray:
     return phase * LB + LC / phase
 
 
-def _pauli_maps(kp: KrausPair) -> np.ndarray:
+def _heisenberg_maps(kp: KrausPair) -> np.ndarray:
     """The real Heisenberg maps (H_B, H_C) of X -> B*XB and X -> C*XC on the
-    coordinates Tr(s_a X), shape (2, 4, 4): H = Re(U* L U) / 2 for the kron
-    factors L. U's entries are 0, +-1 and +-i, so only the sums round."""
-    return (_U_H @ _kron_factors(kp) @ _U_HALF).real
+    coordinates of the basis V, shape (2, 4, 4): H = Re(V* L V) / w for the
+    kron factors L. Only the sums round, and the entries between E00 and E11
+    are single entries of L."""
+    return (_kron_factors(kp).reshape(2, 16) @ _TO_V).real.reshape(2, 4, 4)
 
 
 def _reachable_block(kp: KrausPair) -> tuple[np.ndarray, np.ndarray]:
-    """The Heisenberg maps restricted to the Pauli coordinates that I = s_0
-    reaches under H_B and H_C, shape (2, d, d), and the columns of U for those
-    coordinates, shape (4, d): coordinate 0 first, the others in increasing
-    order. Coordinate a is reached from b when |H_B[a, b]| + |H_C[a, b]|
+    """The Heisenberg maps restricted to the coordinates that I = E00 + E11
+    reaches under H_B and H_C, shape (2, d, d), and the columns of V for
+    those coordinates, shape (4, d), in increasing order: E00 and E11 always
+    come first. Coordinate a is reached from b when |H_B[a, b]| + |H_C[a, b]|
     exceeds _REACH_RTOL times the largest such sum; the maps send the span of
     the reached coordinates into itself up to the couplings below that bound."""
-    H = _pauli_maps(kp)
-    weight = np.abs(H).sum(axis=0)
+    H = _heisenberg_maps(kp)
+    weight = np.abs(H[0]) + np.abs(H[1])
     linked = (weight > _REACH_RTOL * weight.max()).tolist()
-    keep = [0]
+    keep = [0, 1]
     for b in keep:  # keep grows while it is walked: a breadth-first search
-        keep += [a for a in range(4) if linked[a][b] and a not in keep]
+        keep += [a for a in (2, 3) if linked[a][b] and a not in keep]
     if len(keep) == 4:
-        return H, _U
+        return H, _V
     keep.sort()
-    return H.take(keep, 1).take(keep, 2), _U.take(keep, 1)
+    return H.take(keep, 1).take(keep, 2), _V.take(keep, 1)
 
 
 def _check_steps(n: int) -> None:
@@ -122,9 +133,9 @@ def _grid_size(n: int) -> int:
 
 
 def _power_vecs(H: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
-    """T(z)^n e_0 at each point of the 1-d complex array z, shape (len(z), d),
-    where T(z) = H[0] + z H[1] is a d x d block of _reachable_block and e_0
-    the coordinates of I; by square-and-multiply.
+    """T(z)^n e at each point of the 1-d complex array z, shape (len(z), d),
+    where T(z) = H[0] + z H[1] is a d x d block of _reachable_block and
+    e = (1, 1, 0, ...) the coordinates of I; by square-and-multiply.
 
     The points are powered _NODE_CHUNK at a time, in structure-of-arrays form:
     a chunk's blocks are one contiguous (d, d, m) array, a squaring is d
@@ -135,16 +146,16 @@ def _power_vecs(H: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
     """
     d = H.shape[1]
     HB, HC = H[..., None]
+    e = np.zeros((d, 1))
+    e[:2] = 1
     out = np.empty((len(z), d), dtype=complex)
     for lo in range(0, len(z), _NODE_CHUNK):
         base = HB + z[lo : lo + _NODE_CHUNK] * HC
         square, term = np.empty_like(base), np.empty_like(base)
-        v = None  # e_0, until the first set bit makes it base[:, 0]
+        v = e  # (d, 1): the first product broadcasts it over the chunk
         bits = n
         while bits:
-            if bits & 1 and v is None:
-                v = base[:, 0].copy()
-            elif bits & 1:
+            if bits & 1:
                 acc = base[:, 0] * v[0]
                 for j in range(1, d):
                     acc += base[:, j] * v[j]
@@ -155,17 +166,18 @@ def _power_vecs(H: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
                 for j in range(1, d):
                     square += np.multiply(base[:, j, None], base[None, j], out=term)
                 base, square = square, base
-        out[lo : lo + _NODE_CHUNK] = np.eye(1, d) if v is None else v.T
+        out[lo : lo + _NODE_CHUNK] = v.T
     return out
 
 
 def dual_power(kp: KrausPair, k: float, n: int) -> np.ndarray:
     """Y_n(k) as a 2x2 matrix."""
     _check_steps(n)
-    H, U = _reachable_block(kp)
+    H, V = _reachable_block(kp)
     y = _power_vecs(H, np.exp(-2j * np.array([k], dtype=float)), n)[0]
-    # S(k) = e^{ik} U T(e^{-2ik}) U* / 2, so vec(Y_n) = e^{ikn} U T^n e_0
-    return (np.exp(1j * k * n) * (U @ y)).reshape(2, 2)
+    # S(k) V = V (e^{ik} H_B + e^{-ik} H_C) = e^{ik} V T(e^{-2ik}), so
+    # vec(Y_n) = e^{ikn} V T^n e
+    return (np.exp(1j * k * n) * (V @ y)).reshape(2, 2)
 
 
 def _probe_indices(size: int) -> np.ndarray:
@@ -209,10 +221,10 @@ def distribution_via_dual(kp: KrausPair, rho0, n: int) -> Distribution:
     size = _grid_size(n)
     half = size // 2 + 1
     m = np.concatenate([np.arange(half), size - _probe_indices(size)])
-    # psi(k) = e^{-ikn} Tr(rho0 Y_n(k)) = r . T(z)^n e_0 at z = e^{-2ik}, with
-    # r_a = Tr(rho0 s_a) = vec(rho0^T) . vec(s_a)
-    H, U = _reachable_block(kp)
-    psi = _power_vecs(H, np.exp(-2j * np.pi / size * m), n) @ (rho0.T.reshape(4) @ U)
+    # psi(k) = e^{-ikn} Tr(rho0 Y_n(k)) = r . T(z)^n e at z = e^{-2ik}, with
+    # r_a = Tr(rho0 V_a) = vec(rho0^T) . vec(V_a)
+    H, V = _reachable_block(kp)
+    psi = _power_vecs(H, np.exp(-2j * np.pi / size * m), n) @ (rho0.T.reshape(4) @ V)
     return finalize(*_invert_traces(psi[:half], psi[half:], n), n)
 
 

@@ -216,21 +216,24 @@ def test_laws_do_not_depend_on_the_node_chunk(monkeypatch):
 def test_power_vecs_matches_matrix_power_per_node():
     """The chunked powering of the reduced block against numpy's matrix_power
     node by node, over enough nodes that the last chunk is a partial one, and
-    mapped back through U against the n-th power of the 4x4 dual symbol."""
+    mapped back through V against the n-th power of the 4x4 dual symbol."""
     kp = random_kraus_pair(np.random.default_rng(43))
-    H, U = dual._reachable_block(kp)
+    H, V = dual._reachable_block(kp)
     for n in (0, 63, 5000):
         size = 2 * n + 2
         k = 2 * np.pi * np.arange(n + 10) / size
         z = np.exp(-2j * k)
         got = dual._power_vecs(H, z, n)
         assert got.shape == (n + 10, 4)
-        want = np.linalg.matrix_power(H[0] + z[:, None, None] * H[1], n)[..., 0]
+        power = np.linalg.matrix_power(H[0] + z[:, None, None] * H[1], n)
+        want = power[..., 0] + power[..., 1]  # the coordinates of I are (1, 1, 0, 0)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-        # both routes round the phase e^{ikn} about once per step
         symbol = np.linalg.matrix_power(dual.dual_symbol(kp, k), n) @ I2.reshape(4)
         np.testing.assert_allclose(
-            np.exp(1j * k * n)[:, None] * (got @ U.T), symbol, rtol=0, atol=4 * (n + 1) * np.finfo(float).eps
+            np.exp(1j * k * n)[:, None] * (got @ V.T),
+            symbol,
+            rtol=0,
+            atol=min(1e-12, 4 * (n + 1) * np.finfo(float).eps),
         )
 
 
@@ -261,7 +264,7 @@ def test_symmetry_guard_flags_corrupted_mirror_nodes(monkeypatch, example_pair, 
     def corrupted(H, z, n):
         v = clean(H, z, n)
         v[z.imag > 1e-9] += 1e-6
-        v[z == 1, 0] += 1e-6j  # coordinate 0 is I, and Tr(rho0 I) = 1: psi_0 gains 1e-6 i
+        v[z == 1, :2] += 1e-6j  # I = E00 + E11, and Tr(rho0 I) = 1: psi_0 gains 1e-6 i
         return v
 
     ns = (1, 7, 40)
@@ -290,18 +293,18 @@ def test_symmetry_guard_reads_the_mirrored_probes_alone(monkeypatch, example_pai
             dual.distribution_via_dual(example_pair, rho_half, n)
 
 
-def test_identity_reaches_the_documented_pauli_block():
-    """I reaches {I, sz} for ex1-ex3, {I, sx} for ex4, {I, sx, sz} for ex5
-    and all four coordinates of a generic pair."""
-    axes = {"ex1": [0, 3], "ex2": [0, 3], "ex3": [0, 3], "ex4": [0, 1], "ex5": [0, 1, 3]}
+def test_identity_reaches_the_documented_block():
+    """On the basis (E00, E11, sx, sy), I reaches {E00, E11} for ex1-ex3,
+    {E00, E11, sx} for ex4 and ex5 and all four coordinates of a generic pair."""
+    axes = {"ex1": [0, 1], "ex2": [0, 1], "ex3": [0, 1], "ex4": [0, 1, 2], "ex5": [0, 1, 2]}
     for spec in catalog.all_examples():
-        H, U = dual._reachable_block(catalog.build(spec))
+        H, V = dual._reachable_block(catalog.build(spec))
         d = len(axes[spec.id])
         assert H.shape == (2, d, d)
-        assert np.array_equal(U, dual._U[:, axes[spec.id]])
+        assert np.array_equal(V, dual._V[:, axes[spec.id]])
     for kp in make_random_pairs(8, seed=47):
-        H, U = dual._reachable_block(kp)
-        assert H.shape == (2, 4, 4) and np.array_equal(U, dual._U)
+        H, V = dual._reachable_block(kp)
+        assert H.shape == (2, 4, 4) and np.array_equal(V, dual._V)
 
 
 def test_reduced_block_gives_the_full_block_laws(monkeypatch):
@@ -321,14 +324,15 @@ def test_reduced_block_gives_the_full_block_laws(monkeypatch):
 
 
 def test_a_small_real_coupling_keeps_every_coordinate():
-    """ex4 turned by a unitary 1e-9 from the identity couples I to sy and sz
-    by about 1e-9: far above roundoff, so nothing is dropped."""
+    """ex4 turned by a unitary 1e-9 from the identity couples the reached
+    coordinates to sy by about 1e-9: far above roundoff, so nothing is
+    dropped."""
     axis = np.array([1.0, 2.0, 3.0]) / np.sqrt(14)
     V = np.cos(1e-9) * I2 + 1j * np.sin(1e-9) * np.tensordot(axis, core.PAULI[1:], axes=1)
     B, C = catalog.build(catalog.ExampleSpec("ex4"))
     kp = core.validate_kraus_pair(B @ V, C @ V)
     assert dual._reachable_block(kp)[0].shape == (2, 4, 4)
-    coupling = np.abs(dual._pauli_maps(kp)[:, 2:, :2]).max()
+    coupling = np.abs(dual._heisenberg_maps(kp)[:, 3, :3]).max()
     assert 1e-11 < coupling < 1e-8
     for n in (1, 63, 1000):
         lat = lattice.distribution(lattice.evolve(kp, lattice.initial_state(RHO_OFFDIAG), n))
@@ -336,17 +340,21 @@ def test_a_small_real_coupling_keeps_every_coordinate():
 
 
 def test_heisenberg_maps_are_the_transposed_branch_maps():
-    """The dual derives H_B, H_C from its own kron factors; they are the
-    transposes of the forward engines' branch maps, and the symbol in the
-    basis U is e^{ik} H_B + e^{-ik} H_C."""
+    """The dual derives H_B, H_C from its own kron factors; in Pauli
+    coordinates they are the transposes of the forward engines' branch maps,
+    and the symbol in the basis V is e^{ik} H_B + e^{-ik} H_C."""
+    # column b holds the Pauli coefficients of V_b: E00 = (I + sz)/2,
+    # E11 = (I - sz)/2, sx, sy
+    to_pauli = np.array([[0.5, 0.5, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0.5, -0.5, 0, 0]])
+    weights = np.array([1, 1, 2, 2])[:, None]
     pairs = [catalog.build(spec) for spec in catalog.all_examples()] + make_random_pairs(6, seed=53)
     k = np.array([0.0, 0.7331, -2.2, np.pi / 2])
     for kp in pairs:
-        H = dual._pauli_maps(kp)
+        H = dual._heisenberg_maps(kp)
         assert H.dtype == float and H.shape == (2, 4, 4)
         for Hi, M in zip(H, core.branch_maps(kp)):
-            np.testing.assert_allclose(Hi, M.T, rtol=0, atol=1e-15)
-        in_basis = dual._U.conj().T @ dual.dual_symbol(kp, k) @ dual._U / 2
+            np.testing.assert_allclose(to_pauli @ Hi, M.T @ to_pauli, rtol=0, atol=1e-15)
+        in_basis = dual._V.conj().T @ dual.dual_symbol(kp, k) @ dual._V / weights
         want = np.exp(1j * k)[:, None, None] * H[0] + np.exp(-1j * k)[:, None, None] * H[1]
         np.testing.assert_allclose(in_basis, want, rtol=0, atol=1e-15)
 
