@@ -15,8 +15,8 @@ with no rounding but that of the sums, and V* S(k) V / w = e^{ik} H_B +
 e^{-ik} H_C. On the diagonal sector {E00, E11} an entry of H is a single
 entry of L, as in the computational basis, so the fixed point
 I = E00 + E11 of H_B + H_C is kept to the roundoff of single products. (In
-Pauli coordinates an entry such as (1 + p)/2 rounds, and a weight that
-should be exactly 1 drifted by about n eps / 4.) The observable I never
+Pauli coordinates an entry such as (1 + p)/2 would round, and a weight that
+should be exactly 1 would drift by about n eps / 4.) The observable I never
 leaves the coordinates that it reaches under H_B and H_C: {E00, E11} for
 ex1-ex3, {E00, E11, s_x} for ex4 and ex5 and all four for a generic pair.
 Only that d x d block is powered.
