@@ -179,7 +179,7 @@ def closed_form(spec: ExampleSpec, rho0_diag, n: int) -> Distribution:
         raise UnsupportedExample(f"{spec.id} has no closed-form law; use the engines")
     check_size(n + 1, "closed-form coefficients")
     if n == 0:
-        return Distribution({0: 1.0})
+        return finalize([0], [1.0], 0)
 
     # Accumulate on the even sublattice: coeff[i] is the mass at x = 2i - n.
     coeff = np.zeros(n + 1)
@@ -378,5 +378,6 @@ def cut_unfold_exact(rho0_diag, n: int) -> dict[int, Fraction]:
 
 
 def cut_unfold_distribution(rho0_diag, n: int) -> Distribution:
+    """The law of cut_unfold_exact in floats, through distribution.finalize."""
     exact = cut_unfold_exact(rho0_diag, n)
-    return Distribution({x: float(v) for x, v in exact.items()})
+    return finalize(list(exact), [float(v) for v in exact.values()], n)

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import catalog, dual, lattice, limits, trajectory
-from .core import KrausPair, check_size, mat2_from_json, mat2_to_json, validate_kraus_pair
+from .core import KrausPair, check_size, density_matrix, mat2_from_json, mat2_to_json, validate_kraus_pair
 from .distribution import Distribution, compare
 from .exceptions import (
     NormalizationError,
@@ -118,7 +118,9 @@ def _resolve_kraus(kraus: dict) -> tuple[KrausPair, catalog.ExampleSpec | None]:
     raise ParameterError("kraus must carry either 'example' or both 'B' and 'C'")
 
 
-def _diag_of(rho0: np.ndarray) -> tuple[float, float]:
+def _diag_of(rho0) -> tuple[float, float]:
+    """The diagonal of rho0, checked by core.density_matrix as the engines check it."""
+    rho0 = density_matrix(rho0)
     if abs(rho0[0, 1]) > 1e-12 or abs(rho0[1, 0]) > 1e-12:
         raise ParameterError("this method needs a diagonal rho0")
     return float(rho0[0, 0].real), float(rho0[1, 1].real)
@@ -353,10 +355,8 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         return args.func(args)
-    except (ParameterError, NormalizationError, UnsupportedExample, SizeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
+    except (ParameterError, NormalizationError, UnsupportedExample, SizeError,
+            ValueError, KeyError, TypeError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OqrwError as exc:

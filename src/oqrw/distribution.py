@@ -24,17 +24,15 @@ class Distribution:
     __slots__ = ("sites", "probs")
 
     def __init__(self, mapping):
-        if isinstance(mapping, dict):
-            items = sorted(mapping.items())
-            sites = np.array([x for x, _ in items], dtype=np.int64)
-            probs = np.array([p for _, p in items], dtype=float)
-        else:
-            sites, probs = mapping
-            sites = np.asarray(sites, dtype=np.int64)
-            probs = np.asarray(probs, dtype=float)
-            order = np.argsort(sites)
-            sites, probs = sites[order], probs[order]
-        if sites.size != np.unique(sites).size:
+        """mapping is a dict {site: weight} or a pair (sites, weights)."""
+        sites, probs = (list(mapping), list(mapping.values())) if isinstance(mapping, dict) else mapping
+        sites = np.asarray(sites, dtype=np.int64)
+        probs = np.asarray(probs, dtype=float)
+        if sites.shape != probs.shape:
+            raise ValueError(f"sites of shape {sites.shape} and probabilities of shape {probs.shape} differ")
+        order = np.argsort(sites)
+        sites, probs = sites[order], probs[order]
+        if np.any(sites[1:] == sites[:-1]):
             raise ValueError("duplicate sites")
         if not np.all(np.isfinite(probs)):
             raise ValueError("probabilities must be finite")
@@ -130,7 +128,7 @@ def finalize(sites, p, n: int) -> Distribution:
     if lowest < -floor:
         raise ResidueError(f"negative weight {lowest:.3e} below the roundoff floor {-floor:.3e}")
     total = float(p.sum())
-    if abs(total - 1) > MASS_TOL:
+    if not abs(total - 1) <= MASS_TOL:  # a NaN total fails too
         raise SumError(f"probabilities sum to {total!r}, drift {abs(total - 1):.3e}")
     keep = p >= floor
     return Distribution((sites[keep], p[keep]))

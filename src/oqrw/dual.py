@@ -191,21 +191,22 @@ def _probe_indices(size: int) -> np.ndarray:
     return np.array(sorted({round(1 + i * step) for i in range(SYMMETRY_PROBES)}), dtype=np.int64)
 
 
-def _invert_traces(psi: np.ndarray, mirrored: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _invert_traces(
+    psi: np.ndarray, mirrored: np.ndarray, probes: np.ndarray, size: int, n: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Invert the parity-grid samples of psi to site probabilities.
 
     psi[m] = e^{-ik_m n} Tr(rho0 Y_n(k_m)) at the M/2+1 nodes k_m = pi m / M
-    in [0, pi/2], M = _grid_size(n); mirrored holds psi at pi - k_m for m in
-    _probe_indices(M). Returns the raw (sites, p) on the n+1 sites
-    -n, -n+2, ..., n, roundoff included. Raises ResidueError if a mirrored
+    in [0, pi/2], M = size = _grid_size(n); mirrored holds psi at pi - k_m
+    for m in probes = _probe_indices(M). Returns the raw (sites, p) on the
+    n+1 sites -n, -n+2, ..., n, roundoff included. Raises ResidueError if a mirrored
     value differs from conj(psi[m]), or psi is not real at k = 0 or (M even)
     at k = pi/2, by more than SYMMETRY_TOL. Negative coefficients are left to
     distribution.finalize.
     """
-    size = _grid_size(n)
     real_nodes = psi[[0, size // 2]] if size % 2 == 0 else psi[:1]
     defect = max(
-        float(np.max(np.abs(mirrored - psi[_probe_indices(size)].conj()), initial=0.0)),
+        float(np.max(np.abs(mirrored - psi[probes].conj()), initial=0.0)),
         float(np.max(np.abs(real_nodes.imag))),
     )
     if defect > SYMMETRY_TOL:
@@ -220,12 +221,13 @@ def distribution_via_dual(kp: KrausPair, rho0, n: int) -> Distribution:
     rho0 = density_matrix(rho0)
     size = _grid_size(n)
     half = size // 2 + 1
-    m = np.concatenate([np.arange(half), size - _probe_indices(size)])
+    probes = _probe_indices(size)
+    m = np.concatenate([np.arange(half), size - probes])
     # psi(k) = e^{-ikn} Tr(rho0 Y_n(k)) = r . T(z)^n e at z = e^{-2ik}, with
     # r_a = Tr(rho0 V_a) = vec(rho0^T) . vec(V_a)
     H, V = _reachable_block(kp)
     psi = _power_vecs(H, np.exp(-2j * np.pi / size * m), n) @ (rho0.T.reshape(4) @ V)
-    return finalize(*_invert_traces(psi[:half], psi[half:], n), n)
+    return finalize(*_invert_traces(psi[:half], psi[half:], probes, size, n), n)
 
 
 def characteristic_function(kp: KrausPair, rho0, n: int, t, scale: float = 1.0):

@@ -111,18 +111,20 @@ def solve_poisson(kp: KrausPair, rho_inf: np.ndarray) -> tuple[float, np.ndarray
     inconsistent and the returned L only minimizes the residual; callers that
     care should check it via `poisson_residual`.
     """
-    B, C = kp
     m = drift(kp, rho_inf)
-    rhs = C.conj().T @ C - B.conj().T @ B - m * I2
     A = np.eye(4) - sum(branch_maps(kp)).T
-    sol, *_ = np.linalg.lstsq(A, to_pauli(rhs), rcond=None)
+    sol, *_ = np.linalg.lstsq(A, to_pauli(_poisson_rhs(kp, m)), rcond=None)
     return m, from_pauli(sol)
 
 
-def poisson_residual(kp: KrausPair, L: np.ndarray, m: float) -> float:
+def _poisson_rhs(kp: KrausPair, m: float) -> np.ndarray:
+    """The right-hand side C*C - B*B - m I of the Poisson equation."""
     B, C = kp
-    rhs = C.conj().T @ C - B.conj().T @ B - m * I2
-    return float(np.max(np.abs(L - apply_adjoint_channel(kp, L) - rhs)))
+    return C.conj().T @ C - B.conj().T @ B - m * I2
+
+
+def poisson_residual(kp: KrausPair, L: np.ndarray, m: float) -> float:
+    return float(np.max(np.abs(L - apply_adjoint_channel(kp, L) - _poisson_rhs(kp, m))))
 
 
 def clt_variance(kp: KrausPair, rho_inf: np.ndarray, L: np.ndarray, m: float) -> float:
@@ -160,9 +162,7 @@ def clt_params(kp: KrausPair) -> CltParams:
     res = poisson_residual(kp, L, m)
     if res > EIGENVALUE_ONE_TOL:
         raise NonUniqueInvariant(f"Poisson equation inconsistent (residual {res:.3e})")
-    B, C = kp
-    rhs = C.conj().T @ C - B.conj().T @ B - m * I2
-    solvability = abs(np.trace(rho_inf @ rhs))
+    solvability = abs(np.trace(rho_inf @ _poisson_rhs(kp, m)))
     sigma2 = clt_variance(kp, rho_inf, L, m)
     residuals = {
         "fixed_point": report.residual,

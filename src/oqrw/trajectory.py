@@ -62,19 +62,10 @@ def _uniforms(seed: int, lo: int, hi: int, n_steps: int, start: int = 0) -> np.n
     at start 0 this is the state of a fresh Philox(key=[seed, lo + i]) and at
     start 4c it is that state after 4c draws.
     """
-    bitgen = np.random.Philox(0)
+    # a uint64 key: from a list numpy rounds a seed >= 2**63 through float64
+    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64), counter=[start // 4, 0, 0, 0])
     gen = np.random.Generator(bitgen)
-    state = {
-        "bit_generator": "Philox",
-        "state": {
-            "counter": np.array([start // 4, 0, 0, 0], dtype=np.uint64),
-            "key": np.array([seed, 0], dtype=np.uint64),
-        },
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    state = bitgen.state
     key = state["state"]["key"]
     u = np.empty((hi - lo, n_steps))
     for i in range(hi - lo):

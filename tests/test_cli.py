@@ -93,6 +93,15 @@ def test_rho0_help_names_the_pair_form_that_runs(capsys):
     assert "[re, im] pairs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method,example", [("closed_form", "ex1"), ("cut_unfold", "ex5")])
+def test_diagonal_start_methods_check_rho0_like_the_engines(method, example, capsys):
+    # the diagonal entry 0.5 + 0.3i is not Hermitian; the off-diagonal entries are 0
+    rho = "[[[0.5,0.3],[0,0]],[[0,0],[0.5,0]]]"
+    for m in ("lattice", method):
+        assert cli.main(["dist", "--example", example, "--steps", "4", "--method", m, "--rho0", rho]) == 2
+        assert "not Hermitian" in capsys.readouterr().err
+
+
 def test_sample_reports_and_writes(tmp_path, capsys):
     out = tmp_path / "emp.csv"
     code = cli.main(

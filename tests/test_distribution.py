@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oqrw import catalog, dual, lattice
 from oqrw.distribution import MASS_TOL, Distribution, compare, finalize
 from oqrw.exceptions import ResidueError, SumError
 
@@ -57,6 +58,39 @@ def test_finalize_checks_mass_before_flooring():
         finalize(np.arange(tiny.size + 1), np.append(1.0, tiny), n)
 
 
+def test_finalize_refuses_a_nan_total():
+    # NaN compares false with everything, so a check written as drift > MASS_TOL lets it through
+    for p in ([np.nan, 1.0], [np.nan, np.nan]):
+        with pytest.raises(SumError, match="nan"):
+            finalize([0, 2], p, 1)
+
+
+def test_every_exact_route_exits_through_finalize(monkeypatch):
+    """lattice, dual, closed_form (n = 0 included) and cut_unfold_distribution
+    each return the Distribution that finalize built, and call it once."""
+    made = []
+
+    def recording(sites, p, n):
+        made.append(finalize(sites, p, n))
+        return made[-1]
+
+    for module in (lattice, dual, catalog):
+        monkeypatch.setattr(module, "finalize", recording)
+    ex5 = catalog.build(catalog.ExampleSpec("ex5"))
+    rho = np.eye(2) / 2
+    routes = {
+        "lattice": lambda n: lattice.distribution(lattice.evolve(ex5, lattice.initial_state(rho), n)),
+        "dual": lambda n: dual.distribution_via_dual(ex5, rho, n),
+        "closed_form": lambda n: catalog.closed_form(catalog.ExampleSpec("ex1"), (0.5, 0.5), n),
+        "cut_unfold": lambda n: catalog.cut_unfold_distribution((0.3, 0.7), n),
+    }
+    for name, route in routes.items():
+        for n in (0, 1, 6):
+            before = len(made)
+            law = route(n)
+            assert len(made) == before + 1 and law is made[-1], (name, n)
+
+
 def test_mean_variance():
     d = Distribution({-1: 0.5, 1: 0.5})
     assert d.mean() == 0.0
@@ -85,6 +119,15 @@ def test_json_round_trip():
     d = Distribution({-1: 0.25, 3: 0.75})
     back = Distribution.from_json_dict(d.to_json_dict())
     assert back == d
+
+
+def test_unequal_lengths_are_refused():
+    # more weights than sites: the last weight is not dropped
+    with pytest.raises(ValueError, match=r"shape \(2,\).*shape \(3,\)"):
+        Distribution.from_json_dict({"x": [0, 1], "p": [0.5, 0.3, 0.2]})
+    # more sites than weights: a ValueError, not an IndexError
+    with pytest.raises(ValueError, match=r"shape \(3,\).*shape \(2,\)"):
+        Distribution.from_json_dict({"x": [0, 1, 2], "p": [0.5, 0.5]})
 
 
 def test_compare_reports():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from oqrw import catalog, core, dual, lattice
 from oqrw.distribution import ROUNDOFF_SCALE, compare, finalize
 from oqrw.core import I2, apply_adjoint_channel, random_kraus_pair
-from oqrw.exceptions import ResidueError, SizeError
+from oqrw.exceptions import ResidueError, SizeError, SumError
 
 from conftest import brute_force_laws, make_random_pairs
 
@@ -361,10 +361,12 @@ def test_heisenberg_maps_are_the_transposed_branch_maps():
 
 def _parity_spectrum(coeff):
     """psi on the parity grid of n = len(coeff) - 1, split as _invert_traces
-    takes it: the M/2+1 nodes in [0, pi/2] and the mirrored probes."""
+    takes it: the M/2+1 nodes in [0, pi/2], the mirrored probes, the probe
+    indices and the grid size M."""
     size = dual._grid_size(len(coeff) - 1)
+    probes = dual._probe_indices(size)
     psi = np.fft.fft(coeff, size)
-    return psi[: size // 2 + 1], psi[size - dual._probe_indices(size)]
+    return psi[: size // 2 + 1], psi[size - probes], probes, size
 
 
 def test_invert_traces_residue_guard():
@@ -384,14 +386,22 @@ def test_imaginary_part_at_the_real_nodes_is_refused():
     rng = np.random.default_rng(3)
     for n in (0, 1, 2, 7, 40):
         coeff = rng.random(n + 1)
-        psi, mirrored = _parity_spectrum(coeff / coeff.sum())
-        dual._invert_traces(psi, mirrored, n)
-        nodes = [0, len(psi) - 1] if dual._grid_size(n) % 2 == 0 else [0]
+        psi, mirrored, probes, size = _parity_spectrum(coeff / coeff.sum())
+        dual._invert_traces(psi, mirrored, probes, size, n)
+        nodes = [0, len(psi) - 1] if size % 2 == 0 else [0]
         for m in nodes:
             bad = psi.copy()
             bad[m] += 1e-6j
             with pytest.raises(ResidueError, match="conjugate-symmetry defect"):
-                dual._invert_traces(bad, mirrored, n)
+                dual._invert_traces(bad, mirrored, probes, size, n)
+
+
+def test_nan_entry_is_refused_not_emptied(rho_half):
+    # the NaN traces pass the symmetry check (NaN > tol is false); finalize's mass check refuses them
+    B = np.eye(2, dtype=complex) / np.sqrt(2)
+    B[0, 0] = np.nan
+    with pytest.raises(SumError, match="nan"):
+        dual.distribution_via_dual(core.KrausPair(B, np.eye(2, dtype=complex) / np.sqrt(2)), rho_half, 3)
 
 
 def test_negated_interior_coefficient_is_refused(ex5_pair, rho_half):
