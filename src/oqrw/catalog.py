@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import KrausPair, check_size, validate_kraus_pair
+from .core import KrausPair, check_size, density_matrix, validate_kraus_pair
 from .distribution import Distribution, finalize
 from .exceptions import ParameterError, SizeError, UnsupportedExample
 
@@ -78,13 +78,31 @@ def parse_example_spec(text: str) -> ExampleSpec:
 
 
 def _merged_params(spec: ExampleSpec) -> dict[str, float]:
+    """The parameters of spec over its family's defaults, in the family's
+    ranges: build and closed_form both take them from here."""
     allowed = _DEFAULTS.get(spec.id)
     if allowed is None:
         raise ParameterError(f"unknown example {spec.id!r}")
     extra = set(spec.params) - set(allowed)
     if extra:
         raise ParameterError(f"unknown parameter(s) {sorted(extra)} for {spec.id}")
-    return {**allowed, **spec.params}
+    par = {**allowed, **spec.params}
+    if "p" in par and not 0.0 <= par["p"] <= 1.0:
+        raise ParameterError(f"p={par['p']} violates 0 <= p <= 1")
+    if spec.id == "ex3":
+        gamma = par["gamma"]
+        cap = min(math.sqrt(2 * par["p"]), math.sqrt(2 * (1.0 - par["p"])))
+        if not 0.0 < gamma <= cap:
+            raise ParameterError(
+                f"gamma={gamma} violates 0 < gamma <= min(sqrt(2p), sqrt(2q)) = {cap:.6g}"
+            )
+    if spec.id == "ex4":
+        eps = par["eps"]
+        if not 0.0 < eps <= math.sqrt(0.5):
+            raise ParameterError(f"eps={eps} violates 0 < eps <= sqrt(1/2)")
+        if not 2 * eps * math.sqrt(0.5 - eps * eps) < 0.5:
+            raise ParameterError(f"eps={eps} violates 2*eps*sqrt(1/2 - eps^2) < 1/2")
+    return par
 
 
 def build(spec: ExampleSpec) -> KrausPair:
@@ -92,14 +110,10 @@ def build(spec: ExampleSpec) -> KrausPair:
     par = _merged_params(spec)
     if spec.id == "ex1":
         p = par["p"]
-        if not 0.0 <= p <= 1.0:
-            raise ParameterError(f"p={p} violates 0 <= p <= 1")
         B = np.diag([1.0, math.sqrt(p)])
         C = np.diag([0.0, math.sqrt(1.0 - p)])
     elif spec.id == "ex2":
         p = par["p"]
-        if not 0.0 <= p <= 1.0:
-            raise ParameterError(f"p={p} violates 0 <= p <= 1")
         sp, sq = math.sqrt(p), math.sqrt(1.0 - p)
         f1, f2, f3 = par["phi1"], par["phi2"], par["phi3"]
         # U = B + C is unitary iff the second column is (up to the free
@@ -113,24 +127,13 @@ def build(spec: ExampleSpec) -> KrausPair:
         C = np.array([[0, c12], [0, c22]])
     elif spec.id == "ex3":
         p, gamma = par["p"], par["gamma"]
-        if not 0.0 <= p <= 1.0:
-            raise ParameterError(f"p={p} violates 0 <= p <= 1")
-        cap = min(math.sqrt(2 * p), math.sqrt(2 * (1.0 - p)))
-        if not 0.0 < gamma <= cap:
-            raise ParameterError(
-                f"gamma={gamma} violates 0 < gamma <= min(sqrt(2p), sqrt(2q)) = {cap:.6g}"
-            )
         pt = p - gamma**2 / 2
         qt = (1.0 - p) - gamma**2 / 2
         B = np.array([[1.0, 0.0], [0.0, math.sqrt(max(pt, 0.0))]])
         C = np.array([[0.0, gamma], [0.0, math.sqrt(max(qt, 0.0))]])
     elif spec.id == "ex4":
         eps, theta = par["eps"], par["theta"]
-        if not 0.0 < eps <= math.sqrt(0.5):
-            raise ParameterError(f"eps={eps} violates 0 < eps <= sqrt(1/2)")
         a = math.sqrt(0.5 - eps * eps)
-        if not 2 * eps * a < 0.5:
-            raise ParameterError(f"eps={eps} violates 2*eps*sqrt(1/2 - eps^2) < 1/2")
         off = eps * np.exp(1j * theta)
         B = np.array([[a, off], [off, a]])
         C = np.array([[a, -off], [-off, a]])
@@ -153,9 +156,17 @@ def all_examples() -> list[ExampleSpec]:
 
 def _check_diag(rho0_diag) -> tuple[float, float]:
     a, b = (float(v) for v in rho0_diag)
-    if a < 0 or b < 0 or abs(a + b - 1.0) > 1e-12:
+    if not (a >= 0 and b >= 0 and abs(a + b - 1.0) <= 1e-12):  # written so that NaN fails
         raise ParameterError(f"rho0 diagonal ({a}, {b}) must be nonnegative and sum to 1")
     return a, b
+
+
+def _diag_of(rho0) -> tuple[float, float]:
+    """The diagonal of rho0, checked by core.density_matrix as the engines check it."""
+    rho0 = density_matrix(rho0)
+    if abs(rho0[0, 1]) > 1e-12 or abs(rho0[1, 0]) > 1e-12:
+        raise ParameterError("this method needs a diagonal rho0")
+    return float(rho0[0, 0].real), float(rho0[1, 1].real)
 
 
 def closed_form(spec: ExampleSpec, rho0_diag, n: int) -> Distribution:

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: dist, sample, clt, asym, compare, init-example. A run is
-described by a RunConfig, serializable as a single JSON document; flags
+described by a run config, serializable as a single JSON document; flags
 override config fields. Exit codes: 0 success, 2 invalid input or config,
 3 a numerical guard tripped (residue/mass checks, degenerate cases).
 """
@@ -11,12 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import catalog, dual, lattice, limits, trajectory
-from .core import KrausPair, check_size, density_matrix, mat2_from_json, mat2_to_json, validate_kraus_pair
+from .core import KrausPair, check_size, mat2_from_json, mat2_to_json, validate_kraus_pair
 from .distribution import Distribution, compare
 from .exceptions import (
     NormalizationError,
@@ -32,61 +31,42 @@ FORMATS = ("csv", "json")
 _IDENTITY_HALF = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    kraus: dict
-    rho0: list
-    steps: int
-    method: str
-    seed: int | None = None
-    traj: int | None = None
-    output: dict | None = None
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "RunConfig":
-        if not isinstance(data, dict):
-            raise ParameterError("config must be a JSON object")
-        known = {"kraus", "rho0", "steps", "method", "seed", "traj", "output"}
-        extra = set(data) - known
-        if extra:
-            raise ParameterError(f"unknown config field(s): {sorted(extra)}")
-        missing = {"kraus", "rho0", "steps", "method"} - set(data)
-        if missing:
-            raise ParameterError(f"config is missing field(s): {sorted(missing)}")
-        method = data["method"]
-        if method not in METHODS:
-            raise ParameterError(f"method {method!r} not in {METHODS}")
-        kraus = data["kraus"]
-        if isinstance(kraus, dict) and "example" in kraus:
-            _json_str("example", kraus["example"])
-        output = data.get("output")
-        if output is not None:
-            if not isinstance(output, dict) or set(output) - {"path", "format"}:
-                raise ParameterError("output must be an object with only 'path' and 'format'")
-            if "path" in output:
-                _json_str("path", output["path"])
-            if _json_str("format", output.get("format", "csv")) not in FORMATS:
-                raise ParameterError(f"output format must be one of {FORMATS}")
-        steps = _json_int("steps", data["steps"])
-        if steps < 0:
-            raise ParameterError(f"steps {steps} must be >= 0")
-        seed, traj = data.get("seed"), data.get("traj")
-        if seed is not None:
-            trajectory._check_seed(seed)
-        if traj is not None:
-            traj = _json_int("traj", traj)
-        return RunConfig(
-            kraus=data["kraus"],
-            rho0=data["rho0"],
-            steps=steps,
-            method=method,
-            seed=seed,
-            traj=traj,
-            output=output,
-        )
+def check_config(data) -> dict:
+    """The run config held by a JSON object, checked: a dict of the fields
+    kraus, rho0, steps, method, seed, traj and output in that order, with
+    None for an absent optional field. ParameterError for anything else."""
+    if not isinstance(data, dict):
+        raise ParameterError("config must be a JSON object")
+    fields = ("kraus", "rho0", "steps", "method", "seed", "traj", "output")
+    extra = set(data) - set(fields)
+    if extra:
+        raise ParameterError(f"unknown config field(s): {sorted(extra)}")
+    missing = {"kraus", "rho0", "steps", "method"} - set(data)
+    if missing:
+        raise ParameterError(f"config is missing field(s): {sorted(missing)}")
+    method = data["method"]
+    if method not in METHODS:
+        raise ParameterError(f"method {method!r} not in {METHODS}")
+    kraus = data["kraus"]
+    if isinstance(kraus, dict) and "example" in kraus:
+        _json_str("example", kraus["example"])
+    output = data.get("output")
+    if output is not None:
+        if not isinstance(output, dict) or set(output) - {"path", "format"}:
+            raise ParameterError("output must be an object with only 'path' and 'format'")
+        if "path" in output:
+            _json_str("path", output["path"])
+        if _json_str("format", output.get("format", "csv")) not in FORMATS:
+            raise ParameterError(f"output format must be one of {FORMATS}")
+    steps = _json_int("steps", data["steps"])
+    if steps < 0:
+        raise ParameterError(f"steps {steps} must be >= 0")
+    seed, traj = data.get("seed"), data.get("traj")
+    if seed is not None:
+        trajectory._check_seed(seed)
+    if traj is not None:
+        _json_int("traj", traj)
+    return {key: data.get(key) for key in fields}
 
 
 def _json_int(name: str, value) -> int:
@@ -118,14 +98,6 @@ def _resolve_kraus(kraus: dict) -> tuple[KrausPair, catalog.ExampleSpec | None]:
     raise ParameterError("kraus must carry either 'example' or both 'B' and 'C'")
 
 
-def _diag_of(rho0) -> tuple[float, float]:
-    """The diagonal of rho0, checked by core.density_matrix as the engines check it."""
-    rho0 = density_matrix(rho0)
-    if abs(rho0[0, 1]) > 1e-12 or abs(rho0[1, 0]) > 1e-12:
-        raise ParameterError("this method needs a diagonal rho0")
-    return float(rho0[0, 0].real), float(rho0[1, 1].real)
-
-
 def _emit(text: str, path: str | None) -> None:
     if not text.endswith("\n"):
         text += "\n"
@@ -142,45 +114,45 @@ def _render(dist: Distribution, fmt: str) -> str:
     return json.dumps(dist.to_json_dict(), indent=2)
 
 
-def run(config: RunConfig) -> int:
-    """Execute a RunConfig: compute, write artifacts, return the exit code."""
-    pair, spec = _resolve_kraus(config.kraus)
-    rho0 = mat2_from_json(config.rho0)
-    n = config.steps
-    out_path = (config.output or {}).get("path")
-    fmt = (config.output or {}).get("format", "csv")
+def _law(method: str, pair: KrausPair, spec: catalog.ExampleSpec | None, rho0, n: int) -> Distribution:
+    """The time-n law by one of the exact methods."""
+    if method == "lattice":
+        return lattice.distribution(lattice.evolve(pair, lattice.initial_state(rho0), n))
+    if method == "dual":
+        return dual.distribution_via_dual(pair, rho0, n)
+    if method == "closed_form":
+        if spec is None:
+            raise ParameterError("closed_form needs an example spec, not inline matrices")
+        return catalog.closed_form(spec, catalog._diag_of(rho0), n)
+    if spec is None or spec.id != "ex5":  # cut_unfold, the last exact method
+        raise ParameterError("cut_unfold applies to the ex5 pair only")
+    return catalog.cut_unfold_distribution(catalog._diag_of(rho0), n)
 
-    if config.method == "both":
-        d_lat = lattice.distribution(lattice.evolve(pair, lattice.initial_state(rho0), n))
-        d_dual = dual.distribution_via_dual(pair, rho0, n)
-        report = compare(d_lat, d_dual)
+
+def run(config: dict) -> int:
+    """Execute a run config from check_config: compute, write artifacts,
+    return the exit code."""
+    pair, spec = _resolve_kraus(config["kraus"])
+    rho0 = mat2_from_json(config["rho0"])
+    n = config["steps"]
+    output = config["output"] or {}
+    out_path, fmt = output.get("path"), output.get("format", "csv")
+
+    if config["method"] == "both":
+        d_lat = _law("lattice", pair, spec, rho0, n)
+        report = compare(d_lat, _law("dual", pair, spec, rho0, n))
         report["distribution"] = d_lat.to_json_dict()
         _emit(json.dumps(report, indent=2), out_path)
         return 0
-
-    if config.method == "lattice":
-        dist = lattice.distribution(lattice.evolve(pair, lattice.initial_state(rho0), n))
-    elif config.method == "dual":
-        dist = dual.distribution_via_dual(pair, rho0, n)
-    elif config.method == "closed_form":
-        if spec is None:
-            raise ParameterError("closed_form needs an example spec, not inline matrices")
-        dist = catalog.closed_form(spec, _diag_of(rho0), n)
-    elif config.method == "cut_unfold":
-        if spec is None or spec.id != "ex5":
-            raise ParameterError("cut_unfold applies to the ex5 pair only")
-        dist = catalog.cut_unfold_distribution(_diag_of(rho0), n)
-    elif config.method == "trajectory":
-        if config.seed is None or config.traj is None:
+    if config["method"] == "trajectory":
+        if config["seed"] is None or config["traj"] is None:
             raise ParameterError("trajectory method requires both seed and traj")
-        report = trajectory.sample(pair, rho0, n, config.traj, config.seed)
+        report = trajectory.sample(pair, rho0, n, config["traj"], config["seed"])
         if out_path is not None:
             _emit(_render(report.empirical, fmt), out_path)
         sys.stdout.write(json.dumps(report.to_json_dict(), indent=2) + "\n")
         return 0
-    else:  # pragma: no cover - guarded by RunConfig validation
-        raise ParameterError(f"unknown method {config.method!r}")
-    _emit(_render(dist, fmt), out_path)
+    _emit(_render(_law(config["method"], pair, spec, rho0, n), fmt), out_path)
     return 0
 
 
@@ -197,7 +169,7 @@ def _kraus_from_args(args) -> dict | None:
     return None
 
 
-def _config_from_args(args) -> RunConfig:
+def _config_from_args(args) -> dict:
     base: dict = {}
     if args.config:
         with open(args.config) as fh:
@@ -210,16 +182,10 @@ def _config_from_args(args) -> RunConfig:
     if args.rho0 is not None:
         base["rho0"] = json.loads(args.rho0)
     base.setdefault("rho0", _IDENTITY_HALF)
-    if args.steps is not None:
-        base["steps"] = args.steps
-    if args.method is not None:
-        base["method"] = args.method
-    else:
-        base.setdefault("method", "lattice")
-    if args.seed is not None:
-        base["seed"] = args.seed
-    if args.traj is not None:
-        base["traj"] = args.traj
+    for key in ("steps", "method", "seed", "traj"):
+        if getattr(args, key) is not None:
+            base[key] = getattr(args, key)
+    base.setdefault("method", "lattice")
     if args.out is not None or args.format is not None:
         output = dict(base.get("output") or {})
         if args.out is not None:
@@ -231,7 +197,7 @@ def _config_from_args(args) -> RunConfig:
         raise ParameterError("no Kraus pair given: use --example, --B/--C, or --config")
     if "steps" not in base:
         raise ParameterError("number of steps not given: use --steps or --config")
-    return RunConfig.from_json_dict(base)
+    return check_config(base)
 
 
 def _cmd_dist(args) -> int:
@@ -255,13 +221,10 @@ def _cmd_clt(args) -> int:
 
 
 def _cmd_asym(args) -> int:
-    spec = catalog.parse_example_spec(args.example)
-    if spec.id != "ex5":
-        raise ParameterError("the asymptotic ratio table is defined for ex5 only")
     if args.window < 0:
         raise ParameterError(f"window {args.window} must be >= 0")
     check_size(2 * args.window + 1, "asym rows")
-    pair = catalog.build(spec)
+    pair = catalog.build(catalog.ExampleSpec("ex5"))
     n2 = 2 * args.n
     dist = dual.distribution_via_dual(pair, np.eye(2) / 2, n2)
     alpha = limits.ex5_alpha(n2)
@@ -286,7 +249,7 @@ def _cmd_init_example(args) -> int:
     output = {"path": args.result, "format": args.format} if args.result else None
     data = dict(kraus={"example": spec.text()}, rho0=_IDENTITY_HALF, steps=args.steps, method=args.method,
                 seed=args.seed, traj=args.traj, output=output)
-    _emit(json.dumps(RunConfig.from_json_dict(data).to_json_dict(), indent=2), args.out)
+    _emit(json.dumps(check_config(data), indent=2), args.out)
     return 0
 
 
@@ -302,7 +265,7 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--steps", type=int, help="number of walk steps")
     p.add_argument("--seed", type=int, help="RNG seed (trajectory method)")
     p.add_argument("--traj", type=int, help="number of trajectories (trajectory method)")
-    p.add_argument("--config", help="JSON RunConfig file; flags override its fields")
+    p.add_argument("--config", help="JSON run config file; flags override its fields")
     p.add_argument("--out", help="write the result to this path instead of stdout")
     p.add_argument("--format", choices=FORMATS, help="output format (default csv)")
 
@@ -326,7 +289,6 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_clt)
 
     p = sub.add_parser("asym", help="local-limit ratio table p_x^(2n)/alpha_2n for ex5")
-    p.add_argument("--example", default="ex5")
     p.add_argument("--n", type=int, required=True, help="half the step count")
     p.add_argument("--window", type=int, default=10, help="report x in [-window, window]")
     p.add_argument("--out", help="write the CSV to this path")
@@ -338,7 +300,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the JSON report to this path")
     p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("init-example", help="write a RunConfig JSON for a catalog example")
+    p = sub.add_parser("init-example", help="write a run config JSON for a catalog example")
     p.add_argument("example", help="catalog spec, e.g. ex4:eps=0.1,theta=0.7")
     p.add_argument("--steps", type=int, default=10)
     p.add_argument("--method", choices=METHODS, default="lattice")

@@ -37,8 +37,7 @@ from .core import (
     from_pauli,
     to_pauli,
 )
-from .distribution import Distribution
-from .exceptions import DegenerateMax, NoInvariantState, NonUniqueInvariant, ParameterError
+from .exceptions import DegenerateMax, NoInvariantState, NonUniqueInvariant
 
 EIGENVALUE_ONE_TOL = 1e-9
 RESIDUAL_TOL = 1e-10
@@ -182,6 +181,8 @@ def laplace_ratio(f, g, interval: tuple[float, float], n: int) -> float:
     is then a weighted average, not a point value.
     """
     lo, hi = map(float, interval)
+    if not np.isfinite([lo, hi]).all():
+        raise ValueError("interval ends must be finite")
     if not hi > lo:
         raise ValueError("interval must satisfy lo < hi")
     if n < 0:
@@ -189,6 +190,10 @@ def laplace_ratio(f, g, interval: tuple[float, float], n: int) -> float:
     x = np.linspace(lo, hi, SIMPSON_PANELS + 1)
     fx = np.asarray(f(x), dtype=float)
     gx = np.asarray(g(x), dtype=float)
+    if not np.isfinite(fx).all():
+        raise ValueError("f is not finite on the grid")
+    if not np.isfinite(gx).all():
+        raise ValueError("g is not finite on the grid")
     mag = np.abs(fx)
     peak = mag.max()
     if peak == 0:
@@ -257,14 +262,10 @@ def drift_concentration_check(kp: KrausPair, rho0, alpha: float, n: int) -> floa
     rather than truncated. The walk drifts to -n; everything at distance
     more than 0.5 * n^alpha from -n is summed.
     """
-    from .catalog import _ex3_accumulate, _recover_ex3
+    from .catalog import _diag_of, _ex3_accumulate, _recover_ex3
 
     pt, qt, gamma = _recover_ex3(kp)
-    rho0 = density_matrix(rho0)
-    if abs(rho0[0, 1]) > 1e-12:
-        raise ParameterError("rho0 must be diagonal for the closed form")
-    a = float(rho0[0, 0].real)
-    b = float(rho0[1, 1].real)
+    a, b = _diag_of(rho0)
     if n == 0:
         return 0.0  # all mass sits at the ballistic point
     coeff = np.zeros(n + 1)  # mass at x = 2i - n, at distance 2i from -n

@@ -112,6 +112,34 @@ def test_closed_form_unsupported(ident):
         catalog.closed_form(ExampleSpec(ident), (0.5, 0.5), 3)
 
 
+@pytest.mark.parametrize(
+    "ident,params",
+    [
+        ("ex1", {"p": 1.5}),
+        ("ex1", {"p": -0.5}),
+        ("ex4", {"eps": 0.0}),
+        ("ex3", {"gamma": 0.0}),
+        ("ex4", {"eps": 0.9}),
+        ("ex3", {"gamma": 2.0}),
+    ],
+)
+def test_closed_form_refuses_what_build_refuses(ident, params):
+    spec = ExampleSpec(ident, params)
+    with pytest.raises(ParameterError) as built:
+        catalog.build(spec)
+    with pytest.raises(ParameterError) as closed:
+        catalog.closed_form(spec, (0.5, 0.5), 6)
+    assert str(closed.value) == str(built.value)
+
+
+def test_nan_diagonal_is_refused():
+    nan = float("nan")
+    with pytest.raises(ParameterError, match="rho0 diagonal"):
+        catalog.cut_unfold_exact((nan, nan), 4)
+    with pytest.raises(ParameterError, match="rho0 diagonal"):
+        catalog.closed_form(ExampleSpec("ex1"), (nan, nan), 4)
+
+
 def test_ex1_upper_start_sticks():
     d = catalog.closed_form(ExampleSpec("ex1", {"p": 0.3}), (1.0, 0.0), 9)
     assert d.items() == [(-9, 1.0)]

@@ -202,8 +202,11 @@ def test_asym_table(capsys):
 
 
 def test_asym_rejects_other_examples(capsys):
-    assert cli.main(["asym", "--example", "ex1", "--n", "5"]) == 2
-    capsys.readouterr()
+    # the table is defined for ex5 only, so asym takes no --example
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["asym", "--example", "ex1", "--n", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --example ex1" in capsys.readouterr().err
 
 
 def test_compare_command(tmp_path, capsys):
@@ -230,9 +233,9 @@ def test_init_example_round_trip(tmp_path, capsys):
         ["init-example", "ex4:eps=0.1", "--steps", "7", "--method", "dual", "--out", str(cfg)]
     )
     assert code == 0
-    loaded = cli.RunConfig.from_json_dict(json.loads(cfg.read_text()))
-    assert loaded.kraus == {"example": "ex4:eps=0.1"}
-    assert loaded.steps == 7 and loaded.method == "dual"
+    loaded = cli.check_config(json.loads(cfg.read_text()))
+    assert loaded["kraus"] == {"example": "ex4:eps=0.1"}
+    assert loaded["steps"] == 7 and loaded["method"] == "dual"
     assert cli.main(["dist", "--config", str(cfg)]) == 0
     base = capsys.readouterr().out
     # a flag overrides the config field it shadows
@@ -242,6 +245,47 @@ def test_init_example_round_trip(tmp_path, capsys):
     db = Distribution.from_csv_text(overridden)
     for x in da.sites:
         assert db.prob(int(x)) == pytest.approx(da.prob(int(x)), abs=1e-10)
+
+
+_EX4_CONFIG = """\
+{
+  "kraus": {
+    "example": "ex4:eps=0.1"
+  },
+  "rho0": [
+    [
+      [
+        0.5,
+        0.0
+      ],
+      [
+        0.0,
+        0.0
+      ]
+    ],
+    [
+      [
+        0.0,
+        0.0
+      ],
+      [
+        0.5,
+        0.0
+      ]
+    ]
+  ],
+  "steps": 7,
+  "method": "dual",
+  "seed": null,
+  "traj": null,
+  "output": null
+}
+"""
+
+
+def test_init_example_prints_the_fields_in_order(capsys):
+    assert cli.main(["init-example", "ex4:eps=0.1", "--steps", "7", "--method", "dual"]) == 0
+    assert capsys.readouterr().out == _EX4_CONFIG
 
 
 def test_init_example_rejects_bad_params(tmp_path, capsys):

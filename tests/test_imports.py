@@ -1,3 +1,4 @@
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -46,3 +47,17 @@ def test_distribution_module_is_not_shadowed():
     assert distribution is m
     assert m.__name__ == "oqrw.distribution"
     assert hasattr(m, "Distribution")
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = []
+    for path in sorted(Path(oqrw.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+                unused += [f"{path.name}:{node.lineno} {name}" for name in names if name not in used]
+    assert unused == []

@@ -205,6 +205,20 @@ def test_laplace_ratio_input_validation():
         limits.laplace_ratio(f, g, (-1.0, 1.0), -2)
 
 
+@pytest.mark.parametrize(
+    "f,g,interval,message",
+    [
+        (lambda x: np.log(x + 0.5), np.cos, (-1.0, 1.0), "f is not finite"),
+        (np.cos, lambda x: np.log(x + 0.5), (-1.0, 1.0), "g is not finite"),
+        (np.cos, np.cos, (-np.inf, 1.0), "interval ends must be finite"),
+        (np.cos, np.cos, (-1.0, np.inf), "interval ends must be finite"),
+    ],
+)
+def test_laplace_ratio_refuses_non_finite_input(f, g, interval, message):
+    with np.errstate(invalid="ignore", divide="ignore"), pytest.raises(ValueError, match=message):
+        limits.laplace_ratio(f, g, interval, 10)
+
+
 # ---- local-limit scale and drift concentration -------------------------------
 
 
