@@ -18,8 +18,9 @@ I = E00 + E11 of H_B + H_C is kept to the roundoff of single products. (In
 Pauli coordinates an entry such as (1 + p)/2 would round, and a weight that
 should be exactly 1 would drift by about n eps / 4.) The observable I never
 leaves the coordinates that it reaches under H_B and H_C: {E00, E11} for
-ex1-ex3, {E00, E11, s_x} for ex4 and ex5 and all four for a generic pair.
-Only that d x d block is powered.
+ex1-ex3, {E00, E11, s_x} for ex5 and for ex4 at theta = 0 or pi,
+{E00, E11, s_y} for ex4 at theta = pi/2, and all four for ex4 at any other
+theta and for a generic pair. Only that d x d block is powered.
 
 Every step moves the walker by +-1, so p_x = 0 unless x = n (mod 2), and
 

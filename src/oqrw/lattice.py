@@ -5,13 +5,23 @@ rho = sum_x rho_x (x) |x><x|. A step moves every site by one, so from one
 start site all mass lies on sites of one parity: the window holds only those,
 as real Pauli coordinate rows (core.to_pauli) of spacing 2, row i holding
 rho_{lo+2i}. One step sends the block at x to B rho_{x+1} B* + C rho_{x-1} C*,
-which on the rows is two (m, 4) @ (4, 4) products with core.branch_maps
-written into slices one row apart. Blocks carry their unnormalized trace,
-coordinate 0, which is the site probability.
+which on the rows is v -> v M_B^T into the same row and v M_C^T into the
+next one, with core.branch_maps = (M_B, M_C). Blocks carry their unnormalized
+trace, coordinate 0, which is the site probability.
+
+The walk advances _BLOCK = 8 steps at a time. Over s steps row i moves to
+rows i, ..., i + s with the coefficients K_0, ..., K_s of the matrix
+polynomial (M_B^T + z M_C^T)^s, so a block is one (m, 4) @ (4, 4(s + 1))
+product and s + 1 shifted slice adds into an (m + s, 4) window. The kernels
+of 2, 4 and 8 steps are built by doubling, each the convolution of the one
+before with itself; the last block, of n mod 8 steps, takes its kernel from
+the pieces of 1, 2 and 4 steps. Rows whose trace falls below PRUNE_TRACE are
+zeroed and the window trimmed once per block, not once per step.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +30,7 @@ from .core import KrausPair, branch_maps, check_size, density_matrix, to_pauli
 from .distribution import Distribution, finalize
 
 PRUNE_TRACE = 1e-16
+_BLOCK = 8  # steps per block, a power of two: its kernel is built by doubling
 
 
 @dataclass(frozen=True)
@@ -37,30 +48,61 @@ def initial_state(rho0, site: int = 0) -> LatticeState:
     return LatticeState(site, to_pauli(density_matrix(rho0))[np.newaxis], 0)
 
 
+def _convolve(F: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Coefficients of the matrix polynomial F(z) G(z), each given as its
+    (k, 4, 4) stack of coefficients of z^0, z^1, ..."""
+    FG = F[:, np.newaxis] @ G  # FG[a, b] = F_a G_b
+    out = np.zeros((len(F) + len(G) - 1, 4, 4))
+    for a in range(len(F)):
+        out[a : a + len(G)] += FG[a]
+    return out
+
+
+def _side_by_side(K: np.ndarray) -> np.ndarray:
+    """The (s + 1, 4, 4) stack K as the (4, 4(s + 1)) matrix [K_0 ... K_s]."""
+    return K.transpose(1, 0, 2).reshape(4, -1)
+
+
+def _block_kernels(kp: KrausPair, n: int) -> list[np.ndarray]:
+    """One (4, 4(s + 1)) kernel per block of the n steps: n // _BLOCK blocks
+    of _BLOCK steps, then one of n % _BLOCK if that is not 0. Columns
+    4j ... 4j + 3 hold K_j, the coefficient of z^j in (M_B^T + z M_C^T)^s."""
+    q, r = divmod(n, _BLOCK)
+    pieces = [np.stack([M.T for M in branch_maps(kp)])]  # kernels of 1, 2, 4, ... steps
+    while 1 << len(pieces) <= (_BLOCK if q else r):
+        pieces.append(_convolve(pieces[-1], pieces[-1]))
+    kernels = [_side_by_side(pieces[-1])] * q
+    rest = [piece for bit, piece in enumerate(pieces) if r >> bit & 1]
+    if rest:
+        kernels.append(_side_by_side(functools.reduce(_convolve, rest)))
+    return kernels
+
+
 def evolve(kp: KrausPair, s0: LatticeState, n: int) -> LatticeState:
     """n applications of the walk map.
 
-    After each step, rows whose trace is below PRUNE_TRACE are zeroed and the
-    window is trimmed to the first and last rows that remain. Raises SizeError
-    before starting if the final support could exceed core.MAX_SITES sites.
+    After each block of steps, rows whose trace is below PRUNE_TRACE are
+    zeroed and the window is trimmed to the first and last rows that remain.
+    Raises SizeError before starting if the final support could exceed
+    core.MAX_SITES sites.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     check_size(2 * len(s0.rows) - 1 + 2 * n, "lattice sites")
-    MBt, MCt = (M.T for M in branch_maps(kp))
     lo, v = s0.lo, s0.rows
-    for _ in range(n):
-        # Row j of the new window is site lo-1+2j: B moves row i of v (site
-        # lo+2i) to row i, C moves it to row i+1.
-        m = len(v)
-        w = np.zeros((m + 1, 4))
-        w[:m] = v @ MBt
-        w[1:] += v @ MCt
+    for K in _block_kernels(kp, n):
+        # Row j of the new window is site lo-s+2j: K_j moves row i of v (site
+        # lo+2i) to row i+j.
+        m, s = len(v), K.shape[1] // 4 - 1
+        moved = (v @ K).reshape(m, s + 1, 4)
+        w = np.zeros((m + s, 4))
+        for j in range(s + 1):
+            w[j : j + m] += moved[:, j]
         keep = w[:, 0] >= PRUNE_TRACE
         w[~keep] = 0
         first = int(keep.argmax())
-        lo += 2 * first - 1
-        v = w[first : m + 1 - int(keep[::-1].argmax())]
+        lo += 2 * first - s
+        v = w[first : m + s - int(keep[::-1].argmax())]
     return LatticeState(lo, v, s0.step_count + n)
 
 

@@ -33,6 +33,7 @@ from .core import (
     apply_adjoint_channel,
     apply_channel,
     branch_maps,
+    check_size,
     density_matrix,
     from_pauli,
     to_pauli,
@@ -260,12 +261,19 @@ def drift_concentration_check(kp: KrausPair, rho0, alpha: float, n: int) -> floa
     C with a single off-diagonal coupling gamma) is supported: its time-n
     distribution has an exact closed form, so the reported tail mass is exact
     rather than truncated. The walk drifts to -n; everything at distance
-    more than 0.5 * n^alpha from -n is summed.
+    more than 0.5 * n^alpha from -n is summed. Raises ValueError for n < 0
+    or a NaN alpha, and SizeError before allocating more than core.MAX_SITES
+    coefficients.
     """
     from .catalog import _diag_of, _ex3_accumulate, _recover_ex3
 
     pt, qt, gamma = _recover_ex3(kp)
     a, b = _diag_of(rho0)
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if np.isnan(alpha):
+        raise ValueError("alpha must not be NaN")
+    check_size(n + 1, "drift-window coefficients")
     if n == 0:
         return 0.0  # all mass sits at the ballistic point
     coeff = np.zeros(n + 1)  # mass at x = 2i - n, at distance 2i from -n

@@ -61,3 +61,26 @@ def test_no_module_imports_a_name_it_never_uses():
                 names = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
                 unused += [f"{path.name}:{node.lineno} {name}" for name in names if name not in used]
     assert unused == []
+
+
+def _package_imports(path: Path) -> set[str]:
+    """The modules of oqrw that a module imports anywhere in its body, by their
+    short names: `from . import dual`, `from .dual import x`, `import oqrw.dual`
+    and `from oqrw import dual` all give "dual"."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.removeprefix("oqrw.") for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:
+                module = module.removeprefix("oqrw").lstrip(".")
+            found |= {module} if module else {alias.name for alias in node.names}
+    return found
+
+
+def test_exact_engines_do_not_import_each_other():
+    # the lattice and dual engines check each other, so neither may use the other
+    package = Path(oqrw.__file__).resolve().parent
+    assert "dual" not in _package_imports(package / "lattice.py")
+    assert "lattice" not in _package_imports(package / "dual.py")

@@ -43,18 +43,50 @@ def test_step_moves_b_mass_left():
     assert d.prob(-5) == pytest.approx(1.0)
 
 
+def _assert_law(d, want):
+    got = {int(x): p for x, p in d.items()}
+    want = {int(x): p for x, p in want.items()}
+    assert set(got) <= set(want) | {0}
+    for x, p in want.items():
+        assert got.get(x, 0.0) == pytest.approx(p, abs=1e-12)
+
+
 def test_evolve_against_brute_force(rho_half):
+    # one step at a time, and whole calls of 0 ... 12 steps, which end before,
+    # on and after the first block boundary
     for kp in make_random_pairs(3, seed=99):
-        oracle = brute_force_laws(kp, rho_half, 8)
-        s = lattice.initial_state(rho_half)
-        for n in range(9):
-            d = lattice.distribution(s)
-            got = {int(x): p for x, p in d.items()}
-            want = {int(x): p for x, p in oracle[n].items()}
-            assert set(got) <= set(want) | {0}
-            for x, p in want.items():
-                assert got.get(x, 0.0) == pytest.approx(p, abs=1e-12)
+        oracle = brute_force_laws(kp, rho_half, 12)
+        s0 = lattice.initial_state(rho_half)
+        s = s0
+        for n in range(13):
+            _assert_law(lattice.distribution(s), oracle[n])
+            _assert_law(lattice.distribution(lattice.evolve(kp, s0, n)), oracle[n])
             s = lattice.evolve(kp, s, 1)
+
+
+def _rows_on(s, n):
+    """The rows of s on the sites -n, -n + 2, ..., n, zero where s has none."""
+    out = np.zeros((n + 1, 4))
+    first = (s.lo + n) // 2
+    out[first : first + len(s.rows)] = s.rows
+    return out
+
+
+@pytest.mark.parametrize("a, b", [(3, 5), (8, 9), (13, 63)])
+def test_evolve_composes(a, b):
+    # splitting n steps into two calls moves the block boundaries and the
+    # pruning; the rows still agree to a few ulps
+    rhos = (np.eye(2) / 2, np.diag([1.0, 0.0]), np.array([[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.4]]))
+    pairs = [catalog.build(spec) for spec in catalog.all_examples()] + make_random_pairs(3, seed=5)
+    for kp in pairs:
+        for rho in rhos:
+            s = lattice.initial_state(rho)
+            two = lattice.evolve(kp, lattice.evolve(kp, s, a), b)
+            one = lattice.evolve(kp, s, a + b)
+            assert two.step_count == one.step_count == a + b
+            np.testing.assert_allclose(
+                _rows_on(two, a + b), _rows_on(one, a + b), rtol=0, atol=4 * np.finfo(float).eps
+            )
 
 
 def test_total_trace_conserved(example_pair, rho_half):
@@ -112,24 +144,28 @@ def test_pruning_zeroes_sites_inside_the_gap(rho_half):
 
 
 def test_window_state_evolves_to_mean_of_shifted_laws(example_pair, rho_half):
-    n = 9
+    # a start window of four rows, over a block of 8 steps and one of 1
+    # (n = 9), and over two blocks of 8 and one of 1 (n = 17)
     rows = np.zeros((4, 4))
     rows[0] = rows[3] = core.to_pauli(rho_half) / 2
-    both = lattice.distribution(lattice.evolve(example_pair, lattice.LatticeState(-3, rows, 0), n))
-    laws = [
-        lattice.distribution(lattice.evolve(example_pair, lattice.initial_state(rho_half, site), n))
-        for site in (-3, 3)
-    ]
-    for x in range(-3 - n, 3 + n + 1):
-        want = (laws[0].prob(x) + laws[1].prob(x)) / 2
-        assert both.prob(x) == pytest.approx(want, abs=1e-14)
+    for n in (9, 17):
+        both = lattice.distribution(lattice.evolve(example_pair, lattice.LatticeState(-3, rows, 0), n))
+        laws = [
+            lattice.distribution(lattice.evolve(example_pair, lattice.initial_state(rho_half, site), n))
+            for site in (-3, 3)
+        ]
+        for x in range(-3 - n, 3 + n + 1):
+            want = (laws[0].prob(x) + laws[1].prob(x)) / 2
+            assert both.prob(x) == pytest.approx(want, abs=1e-14)
 
 
 def test_window_holds_only_the_sites_of_its_parity(rho_half):
     # from one start every row of the window is a site of the parity of n:
-    # ex5 from I/2 at n = 4000 has 461 sites above PRUNE_TRACE and no zero row
+    # ex5 from I/2 at n = 4000 has 469 sites above PRUNE_TRACE and no zero row
+    # when rows are pruned once per block of 8 steps (the unpruned law has 481
+    # sites at or above 1e-16)
     kp = catalog.build(catalog.ExampleSpec("ex5"))
     s = lattice.evolve(kp, lattice.initial_state(rho_half), 4000)
-    assert len(s.rows) == 461
+    assert len(s.rows) == 469
     assert np.all(s.rows[:, 0] >= lattice.PRUNE_TRACE)
     assert (s.lo - 4000) % 2 == 0

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from oqrw import catalog, limits
+from oqrw import catalog, core, limits
 from oqrw.core import I2, KrausPair, apply_channel, random_kraus_pair
 from oqrw.exceptions import (
     DegenerateMax,
     NoInvariantState,
     NonUniqueInvariant,
     ParameterError,
+    SizeError,
 )
 
 from conftest import make_random_pairs
@@ -276,6 +277,19 @@ def test_drift_concentration_decreases():
     rho = np.diag([0.5, 0.5])
     masses = [limits.drift_concentration_check(kp, rho, 1.0, n) for n in (50, 100, 200)]
     assert masses[0] > masses[1] > masses[2]
+
+
+def test_drift_concentration_refuses_bad_n_and_alpha(monkeypatch):
+    kp, rho = _pair("ex3"), np.eye(2) / 2
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        limits.drift_concentration_check(kp, rho, 0.5, -1)
+    with pytest.raises(ValueError, match="alpha"):
+        limits.drift_concentration_check(kp, rho, float("nan"), 10)
+    # n + 1 coefficients are checked against the bound read at call time
+    monkeypatch.setattr(core, "MAX_SITES", 9)
+    limits.drift_concentration_check(kp, rho, 0.5, 8)
+    with pytest.raises(SizeError):
+        limits.drift_concentration_check(kp, rho, 0.5, 9)
 
 
 def test_drift_concentration_rejects_wrong_shape():
