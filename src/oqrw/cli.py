@@ -221,6 +221,8 @@ def _cmd_clt(args) -> int:
 
 
 def _cmd_asym(args) -> int:
+    if args.n < 1:
+        raise ParameterError(f"--n {args.n} must be >= 1")
     if args.window < 0:
         raise ParameterError(f"window {args.window} must be >= 0")
     check_size(2 * args.window + 1, "asym rows")

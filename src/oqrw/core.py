@@ -11,7 +11,9 @@ under Tr(A*B), its Heisenberg adjoint X -> B*XB + C*XC is the transpose.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -28,6 +30,9 @@ MAX_SITES = 1_000_000
 I2 = np.eye(2, dtype=complex)
 # sigma_0 = I, sigma_x, sigma_y, sigma_z
 PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+# row 2j + i, column a holds s_a[i, j], so that Tr(s_a A) = A.reshape(4) @ _TRACE_PAULI[:, a]:
+# its entries are 0, +-1 and +-i, and the product rounds only the one sum of two terms
+_TRACE_PAULI = PAULI.transpose(2, 1, 0).reshape(4, 4)
 
 
 def check_size(count: int, what: str) -> None:
@@ -37,12 +42,19 @@ def check_size(count: int, what: str) -> None:
         raise SizeError(f"{count} {what} exceed the limit {MAX_SITES}")
 
 
+def check_integer(value, name: str) -> None:
+    """Raise ValueError unless value is an integer: a numbers.Integral such as
+    int or np.int64, and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def as_mat2(a) -> np.ndarray:
     """Coerce to a complex (2, 2) array and require finite entries."""
     m = np.asarray(a, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -64,8 +76,9 @@ class KrausPair:
 
 def kraus_defect(B: np.ndarray, C: np.ndarray) -> float:
     """Max-norm of B*B + C*C - I."""
-    resid = B.conj().T @ B + C.conj().T @ C - I2
-    return float(np.max(np.abs(resid)))
+    K = np.array((B, C))
+    BB, CC = K.conj().swapaxes(1, 2) @ K
+    return float(np.abs(BB + CC - I2).max())
 
 
 def validate_kraus_pair(B, C) -> KrausPair:
@@ -84,16 +97,28 @@ def validate_kraus_pair(B, C) -> KrausPair:
     return KrausPair(B, C)
 
 
+def _smallest_eigenvalue(a: float, b: complex, d: float) -> float:
+    """The smaller eigenvalue of the Hermitian matrix [[a, b], [b*, d]], in
+    closed form: (a + d - sqrt((a - d)^2 + 4|b|^2)) / 2."""
+    return (a + d - math.hypot(a - d, 2 * abs(b))) / 2
+
+
 def density_matrix(rho) -> np.ndarray:
-    """Validate a density matrix: Hermitian, positive semidefinite, trace 1."""
+    """Validate a density matrix: Hermitian, positive semidefinite, trace 1.
+
+    The checks run on the four entries as Python scalars. Positivity is that
+    of the Hermitian part (rho + rho*) / 2, whose smallest eigenvalue is taken
+    in closed form (_smallest_eigenvalue).
+    """
     rho = as_mat2(rho)
-    herm = float(np.max(np.abs(rho - rho.conj().T)))
+    (a, b), (c, d) = rho.tolist()
+    herm = max(2 * abs(a.imag), abs(b - c.conjugate()), 2 * abs(d.imag))
     if herm > HERMITIAN_TOL:
         raise ValueError(f"not Hermitian: ||rho - rho*||_inf = {herm:.3e}")
-    evals = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-    if evals.min() < EIGENVALUE_FLOOR:
-        raise ValueError(f"not positive semidefinite: min eigenvalue {evals.min():.3e}")
-    tr = abs(np.trace(rho) - 1)
+    low = _smallest_eigenvalue(a.real, (b + c.conjugate()) / 2, d.real)
+    if low < EIGENVALUE_FLOOR:
+        raise ValueError(f"not positive semidefinite: min eigenvalue {low:.3e}")
+    tr = abs(a + d - 1)
     if tr > TRACE_TOL:
         raise ValueError(f"trace differs from 1 by {tr:.3e}")
     return rho
@@ -115,7 +140,8 @@ def to_pauli(A) -> np.ndarray:
     """Real Pauli coordinates Tr(s_a A) of Hermitian 2x2 matrices: shape
     (..., 2, 2) -> (..., 4). Of a non-Hermitian A this gives the coordinates
     of its Hermitian part (A + A*)/2."""
-    return np.einsum("aij,...ji->...a", PAULI, A).real
+    A = np.asarray(A)
+    return (A.reshape(A.shape[:-2] + (4,)) @ _TRACE_PAULI).real
 
 
 def from_pauli(h) -> np.ndarray:
@@ -124,10 +150,13 @@ def from_pauli(h) -> np.ndarray:
     return np.tensordot(np.asarray(h, dtype=float), PAULI, axes=1) / 2
 
 
-def branch_maps(kp: KrausPair) -> tuple[np.ndarray, np.ndarray]:
+def branch_maps(kp: KrausPair) -> np.ndarray:
     """The two branch maps A -> B A B* and A -> C A C* on Pauli coordinates:
-    real 4x4 matrices (M_B, M_C) with M_K[:, b] = to_pauli(K s_b K*) / 2."""
-    return tuple(to_pauli(K @ PAULI @ K.conj().T).T / 2 for K in kp)
+    real 4x4 matrices (M_B, M_C), stacked as shape (2, 4, 4), with
+    M_K[:, b] = to_pauli(K s_b K*) / 2. The eight sandwiches K s_b K* are
+    formed by two stacked products."""
+    K = np.array((kp.B, kp.C))[:, np.newaxis]
+    return (to_pauli(K @ PAULI @ K.conj().swapaxes(2, 3)) / 2).swapaxes(1, 2)
 
 
 def random_kraus_pair(rng: np.random.Generator) -> KrausPair:

@@ -10,6 +10,7 @@ from .exceptions import ResidueError, SumError
 # the roundoff of every exact route grows about linearly in n.
 ROUNDOFF_SCALE = 1.0
 MASS_TOL = 1e-8
+_EPS = float(np.finfo(float).eps)
 
 
 class Distribution:
@@ -26,15 +27,16 @@ class Distribution:
     def __init__(self, mapping):
         """mapping is a dict {site: weight} or a pair (sites, weights)."""
         sites, probs = (list(mapping), list(mapping.values())) if isinstance(mapping, dict) else mapping
-        sites = np.asarray(sites, dtype=np.int64)
-        probs = np.asarray(probs, dtype=float)
+        sites = np.array(sites, dtype=np.int64)  # copies: the caller's arrays stay the caller's
+        probs = np.array(probs, dtype=float)
         if sites.shape != probs.shape:
             raise ValueError(f"sites of shape {sites.shape} and probabilities of shape {probs.shape} differ")
-        order = np.argsort(sites)
-        sites, probs = sites[order], probs[order]
-        if np.any(sites[1:] == sites[:-1]):
-            raise ValueError("duplicate sites")
-        if not np.all(np.isfinite(probs)):
+        if (sites[1:] <= sites[:-1]).any():  # the exact engines pass sites in increasing order
+            order = np.argsort(sites)
+            sites, probs = sites[order], probs[order]
+            if (sites[1:] == sites[:-1]).any():
+                raise ValueError("duplicate sites")
+        if not np.isfinite(probs).all():
             raise ValueError("probabilities must be finite")
         if probs.size and probs.min() < 0:
             raise ValueError(f"negative probability {probs.min():.3e}")
@@ -123,7 +125,7 @@ def finalize(sites, p, n: int) -> Distribution:
     """
     sites = np.asarray(sites, dtype=np.int64)
     p = np.asarray(p, dtype=float)
-    floor = ROUNDOFF_SCALE * (n + 1) * np.finfo(float).eps
+    floor = ROUNDOFF_SCALE * (n + 1) * _EPS
     lowest = float(p.min(initial=0.0))
     if lowest < -floor:
         raise ResidueError(f"negative weight {lowest:.3e} below the roundoff floor {-floor:.3e}")

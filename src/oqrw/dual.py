@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import KrausPair, check_size, density_matrix
+from .core import KrausPair, check_integer, check_size, density_matrix
 from .distribution import Distribution, finalize
 from .exceptions import ResidueError
 
@@ -102,18 +102,20 @@ def _reachable_block(kp: KrausPair) -> tuple[np.ndarray, np.ndarray]:
     exceeds _REACH_RTOL times the largest such sum; the maps send the span of
     the reached coordinates into itself up to the couplings below that bound."""
     H = _heisenberg_maps(kp)
-    weight = np.abs(H[0]) + np.abs(H[1])
-    linked = (weight > _REACH_RTOL * weight.max()).tolist()
-    keep = [0, 1]
-    for b in keep:  # keep grows while it is walked: a breadth-first search
-        keep += [a for a in (2, 3) if linked[a][b] and a not in keep]
-    if len(keep) == 4:
+    # on the 32 entries as Python floats: weight[4a + b] links b to a
+    weight = [abs(b) + abs(c) for b, c in zip(*H.reshape(2, 16).tolist())]
+    bound = _REACH_RTOL * max(weight)
+    from_diagonal = [weight[4 * a] > bound or weight[4 * a + 1] > bound for a in (2, 3)]
+    sx = from_diagonal[0] or from_diagonal[1] and weight[11] > bound  # or through s_y
+    sy = from_diagonal[1] or from_diagonal[0] and weight[14] > bound  # or through s_x
+    if sx and sy:
         return H, _V
-    keep.sort()
+    keep = [0, 1] + [a for a, reached in ((2, sx), (3, sy)) if reached]
     return H.take(keep, 1).take(keep, 2), _V.take(keep, 1)
 
 
 def _check_steps(n: int) -> None:
+    check_integer(n, "n")
     if n < 0:
         raise ValueError("n must be >= 0")
     check_size(2 * n + 2, "Fourier nodes")
@@ -205,10 +207,10 @@ def _invert_traces(
     at k = pi/2, by more than SYMMETRY_TOL. Negative coefficients are left to
     distribution.finalize.
     """
-    real_nodes = psi[[0, size // 2]] if size % 2 == 0 else psi[:1]
+    real_nodes = psi[:: size // 2] if size % 2 == 0 else psi[:1]  # k = 0 and pi/2, or k = 0
     defect = max(
-        float(np.max(np.abs(mirrored - psi[probes].conj()), initial=0.0)),
-        float(np.max(np.abs(real_nodes.imag))),
+        float(np.abs(mirrored - psi[probes].conj()).max(initial=0.0)),
+        float(np.abs(real_nodes.imag).max()),
     )
     if defect > SYMMETRY_TOL:
         raise ResidueError(f"conjugate-symmetry defect {defect:.3e} exceeds {SYMMETRY_TOL}")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KrausPair, branch_maps, check_size, density_matrix, to_pauli
+from .core import KrausPair, branch_maps, check_integer, check_size, density_matrix, to_pauli
 from .distribution import Distribution, finalize
 
 PRUNE_TRACE = 1e-16
@@ -44,18 +44,24 @@ class LatticeState:
 
 
 def initial_state(rho0, site: int = 0) -> LatticeState:
-    """Single validated block rho0 at `site`, step count 0."""
+    """Single validated block rho0 at `site`, step count 0. ValueError when
+    site is not an integer."""
+    check_integer(site, "site")
     return LatticeState(site, to_pauli(density_matrix(rho0))[np.newaxis], 0)
 
 
 def _convolve(F: np.ndarray, G: np.ndarray) -> np.ndarray:
     """Coefficients of the matrix polynomial F(z) G(z), each given as its
-    (k, 4, 4) stack of coefficients of z^0, z^1, ..."""
-    FG = F[:, np.newaxis] @ G  # FG[a, b] = F_a G_b
-    out = np.zeros((len(F) + len(G) - 1, 4, 4))
-    for a in range(len(F)):
-        out[a : a + len(G)] += FG[a]
-    return out
+    (k, 4, 4) stack of coefficients of z^0, z^1, ...
+
+    Row a of the (len F, len F + len G) grid holds the products F_a G_b at
+    columns b < len G and zeros after them. Read with rows of one column
+    fewer, the same buffer holds F_a G_b at column a + b, so the coefficient
+    of z^j is the sum over the rows of column j, added in the order of a."""
+    k, m = len(F), len(G)
+    FG = np.zeros((k, m + k, 4, 4))
+    np.matmul(F[:, np.newaxis], G, out=FG[:, :m])
+    return FG.reshape(-1, 4, 4)[: k * (m + k - 1)].reshape(k, m + k - 1, 4, 4).sum(axis=0)
 
 
 def _side_by_side(K: np.ndarray) -> np.ndarray:
@@ -68,7 +74,7 @@ def _block_kernels(kp: KrausPair, n: int) -> list[np.ndarray]:
     of _BLOCK steps, then one of n % _BLOCK if that is not 0. Columns
     4j ... 4j + 3 hold K_j, the coefficient of z^j in (M_B^T + z M_C^T)^s."""
     q, r = divmod(n, _BLOCK)
-    pieces = [np.stack([M.T for M in branch_maps(kp)])]  # kernels of 1, 2, 4, ... steps
+    pieces = [branch_maps(kp).swapaxes(1, 2)]  # kernels of 1, 2, 4, ... steps
     while 1 << len(pieces) <= (_BLOCK if q else r):
         pieces.append(_convolve(pieces[-1], pieces[-1]))
     kernels = [_side_by_side(pieces[-1])] * q
@@ -86,6 +92,7 @@ def evolve(kp: KrausPair, s0: LatticeState, n: int) -> LatticeState:
     Raises SizeError before starting if the final support could exceed
     core.MAX_SITES sites.
     """
+    check_integer(n, "n")
     if n < 0:
         raise ValueError("n must be >= 0")
     check_size(2 * len(s0.rows) - 1 + 2 * n, "lattice sites")
@@ -113,4 +120,4 @@ def distribution(s: LatticeState) -> Distribution:
     dropped.
     """
     p = s.rows[:, 0]
-    return finalize(s.lo + 2 * np.arange(len(p)), p, s.step_count)
+    return finalize(np.arange(s.lo, s.lo + 2 * len(p), 2), p, s.step_count)

@@ -388,6 +388,15 @@ def test_asym_refuses_a_negative_window(capsys):
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_asym_refuses_n_below_one_before_any_engine(monkeypatch, capsys, n):
+    monkeypatch.setattr(cli.dual, "distribution_via_dual", None)
+    assert cli.main(["asym", "--n", n, "--window", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: --n {n} must be >= 1") and "Traceback" not in captured.err
+
+
 def test_asym_refuses_a_window_beyond_the_size_guard(monkeypatch, capsys):
     # refused before the law or any row is formed
     monkeypatch.setattr(cli.dual, "distribution_via_dual", None)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oqrw import core
+from oqrw import catalog, core
 from oqrw.exceptions import NormalizationError
 
 from conftest import make_random_pairs
@@ -47,6 +47,43 @@ def test_density_matrix_checks():
         core.density_matrix(np.diag([0.7, 0.7]))  # trace 1.4
     rho = core.density_matrix(np.diag([0.25, 0.75]))
     assert rho.dtype == complex
+
+
+@pytest.mark.parametrize(
+    "ok, bad",
+    [
+        # Hermitian: ||rho - rho*||_inf against HERMITIAN_TOL = 1e-12, off the
+        # diagonal and on it (where it is 2 |Im rho_aa|)
+        ([[0.5, 0.1], [0.1 + 0.9e-12, 0.5]], [[0.5, 0.1], [0.1 + 1.1e-12, 0.5]]),
+        ([[0.5 + 0.45e-12j, 0], [0, 0.5]], [[0.5 + 0.55e-12j, 0], [0, 0.5]]),
+        # positive semidefinite: the smallest eigenvalue against EIGENVALUE_FLOOR = -1e-12
+        (np.diag([1 + 0.9e-12, -0.9e-12]), np.diag([1 + 1.1e-12, -1.1e-12])),
+        ([[0.5, 0.5 + 0.9e-12], [0.5 + 0.9e-12, 0.5]], [[0.5, 0.5 + 1.1e-12], [0.5 + 1.1e-12, 0.5]]),
+        ([[0.5, 0.5j + 0.9e-12j], [-0.5j - 0.9e-12j, 0.5]], [[0.5, 0.5j + 1.1e-12j], [-0.5j - 1.1e-12j, 0.5]]),
+        # trace against TRACE_TOL = 1e-12, above 1 and below it
+        (np.diag([0.5, 0.5 + 0.9e-12]), np.diag([0.5, 0.5 + 1.1e-12])),
+        (np.diag([0.5, 0.5 - 0.9e-12]), np.diag([0.5, 0.5 - 1.1e-12])),
+    ],
+)
+def test_density_matrix_bounds(ok, bad):
+    np.testing.assert_array_equal(core.density_matrix(ok), np.asarray(ok, dtype=complex))
+    with pytest.raises(ValueError):
+        core.density_matrix(bad)
+
+
+def test_smallest_eigenvalue_is_the_closed_form_of_eigvalsh():
+    rng = np.random.default_rng(19)
+    for _ in range(1000):
+        a, d, re, im = rng.uniform(-1, 1, 4)
+        A = np.array([[a, re + 1j * im], [re - 1j * im, d]])
+        assert abs(core._smallest_eigenvalue(a, re + 1j * im, d) - np.linalg.eigvalsh(A)[0]) <= 1e-15
+
+
+def test_as_mat2_takes_a_transposed_complex_matrix():
+    A = np.array([[1, 2j], [3, 4]], dtype=complex)
+    np.testing.assert_array_equal(core.as_mat2(A.T), A.T)
+    with pytest.raises(ValueError, match="finite"):
+        core.as_mat2(np.array([[1, np.inf * 1j], [0, 1]]).T)
 
 
 def _random_hermitian(rng):
@@ -137,3 +174,18 @@ def test_kraus_pair_unpacks():
     kp = core.validate_kraus_pair(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
     B, C = kp
     assert B is kp.B and C is kp.C
+
+
+def test_pauli_maps_keep_their_reference_bits():
+    """to_pauli and branch_maps give the bits of the einsum trace and of the
+    per-K sandwiches, bit for bit."""
+    rng = np.random.default_rng(2024)
+    pairs = [catalog.build(spec) for spec in catalog.all_examples()] + [core.random_kraus_pair(rng) for _ in range(200)]
+    for kp in pairs:
+        want = [np.einsum("aij,...ji->...a", core.PAULI, K @ core.PAULI @ K.conj().T).real.T / 2 for K in kp]
+        got = core.branch_maps(kp)
+        assert got.shape == (2, 4, 4)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        for K in kp:
+            sandwiches = K @ core.PAULI @ K.conj().T
+            assert np.array_equal(core.to_pauli(sandwiches), np.einsum("aij,...ji->...a", core.PAULI, sandwiches).real)

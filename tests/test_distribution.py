@@ -16,8 +16,17 @@ def test_sorted_and_deduplicated():
 
 
 def test_rejects_duplicate_sites():
-    with pytest.raises(ValueError):
-        Distribution((np.array([0, 0]), np.array([0.5, 0.5])))
+    # in sorted input and in input that must be sorted first
+    for sites in ([0, 0], [-1, 3, 3], [2, 0, 2]):
+        with pytest.raises(ValueError, match="duplicate"):
+            Distribution((np.array(sites), np.full(len(sites), 1 / len(sites))))
+
+
+def test_keeps_its_own_copy_of_the_arrays():
+    sites, probs = np.array([-2, 0, 5]), np.array([0.25, 0.5, 0.25])
+    d = Distribution((sites, probs))
+    sites[0], probs[0] = 7, 0.0
+    assert d.items() == [(-2, 0.25), (0, 0.5), (5, 0.25)]
 
 
 def test_negative_handling():

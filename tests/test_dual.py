@@ -117,6 +117,15 @@ def test_nonsquare_rho_rejected(ex5_pair):
         dual.distribution_via_dual(ex5_pair, np.eye(2) / 2, -2)
 
 
+def test_non_integral_n_is_refused(ex5_pair, rho_half):
+    for n in (3.0, 2.5, True):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            dual.distribution_via_dual(ex5_pair, rho_half, n)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            dual.dual_power(ex5_pair, 0.3, n)
+    assert dual.distribution_via_dual(ex5_pair, rho_half, np.int64(3)) == dual.distribution_via_dual(ex5_pair, rho_half, 3)
+
+
 def test_grid_size_guard(ex5_pair):
     # 2n + 2 nodes over the shared bound: refused before anything is allocated
     with pytest.raises(SizeError):

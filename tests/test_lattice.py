@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,10 @@ def test_initial_state_places_rho_at_site(rho_half):
 def test_initial_state_validates(rho_half):
     with pytest.raises(ValueError):
         lattice.initial_state(np.diag([0.7, 0.7]))
+    for site in (0.5, 2.0, True):
+        with pytest.raises(ValueError, match="site must be an integer"):
+            lattice.initial_state(rho_half, site=site)
+    assert lattice.initial_state(rho_half, site=np.int64(-3)).lo == -3
 
 
 def test_single_step_splits_mass(rho_half):
@@ -106,6 +112,10 @@ def test_evolve_rejects_negative_and_oversize(rho_half, monkeypatch):
     s = lattice.initial_state(rho_half)
     with pytest.raises(ValueError):
         lattice.evolve(kp, s, -1)
+    for n in (3.0, 2.5, True):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            lattice.evolve(kp, s, n)
+    assert lattice.evolve(kp, s, np.int64(3)).step_count == 3
     with pytest.raises(SizeError):
         lattice.evolve(kp, s, 10**6)
     # the bound is read when the call is made
@@ -169,3 +179,35 @@ def test_window_holds_only_the_sites_of_its_parity(rho_half):
     assert len(s.rows) == 469
     assert np.all(s.rows[:, 0] >= lattice.PRUNE_TRACE)
     assert (s.lo - 4000) % 2 == 0
+
+
+def _reference_convolve(F, G):
+    """The kernel product by one slice add per coefficient of F."""
+    FG = F[:, np.newaxis] @ G
+    out = np.zeros((len(F) + len(G) - 1, 4, 4))
+    for a in range(len(F)):
+        out[a : a + len(G)] += FG[a]
+    return out
+
+
+def _reference_block_kernels(kp, n):
+    """Kernels of n // 8 blocks of 8 steps and one of n % 8, doubled from the
+    per-K einsum branch maps."""
+    q, r = divmod(n, 8)
+    maps = [np.einsum("aij,...ji->...a", core.PAULI, K @ core.PAULI @ K.conj().T).real / 2 for K in kp]
+    pieces = [np.stack(maps)]  # M_K.T for K = B, C
+    while 1 << len(pieces) <= (8 if q else r):
+        pieces.append(_reference_convolve(pieces[-1], pieces[-1]))
+    stacks = [pieces[-1]] * q
+    if r:
+        stacks.append(functools.reduce(_reference_convolve, [p for bit, p in enumerate(pieces) if r >> bit & 1]))
+    return [K.transpose(1, 0, 2).reshape(4, -1) for K in stacks]
+
+
+def test_block_kernels_keep_their_reference_bits():
+    rng = np.random.default_rng(2024)
+    pairs = [catalog.build(spec) for spec in catalog.all_examples()] + [core.random_kraus_pair(rng) for _ in range(200)]
+    for i, kp in enumerate(pairs):
+        for n in (1, 7, 8, 15, 16 + i % 8):
+            got, want = lattice._block_kernels(kp, n), _reference_block_kernels(kp, n)
+            assert len(got) == len(want) and all(np.array_equal(g, w) for g, w in zip(got, want))
