@@ -29,6 +29,8 @@ class Distribution:
         sites, probs = (list(mapping), list(mapping.values())) if isinstance(mapping, dict) else mapping
         sites = np.array(sites, dtype=np.int64)  # copies: the caller's arrays stay the caller's
         probs = np.array(probs, dtype=float)
+        if sites.ndim != 1 or probs.ndim != 1:
+            raise ValueError(f"sites and probabilities must be 1-D, not of shapes {sites.shape} and {probs.shape}")
         if sites.shape != probs.shape:
             raise ValueError(f"sites of shape {sites.shape} and probabilities of shape {probs.shape} differ")
         if (sites[1:] <= sites[:-1]).any():  # the exact engines pass sites in increasing order

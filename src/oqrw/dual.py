@@ -37,8 +37,17 @@ evolved, and a real inverse FFT of length M returns the n+1 weights of the
 walk's parity class. A few mirrored nodes in (pi/2, pi) are evolved as well,
 to check that symmetry, together with the imaginary parts that the real
 inverse FFT drops. The bound of 2n+2 nodes (`_check_steps`) is only the size
-guard. The initial state never enters the evolution; it appears only in the
-final trace.
+guard.
+
+The initial state never enters the evolution; it appears only in the final
+trace, through r. Each chunk of nodes forms its own phases z, is powered and
+is contracted with r before the next chunk starts, so while it powers a law
+holds over the whole grid only the node indices and psi, 24 bytes a node.
+The traced peak of one ex4 law (eps = 0.2, theta = 1.9, d = 4) from I/2 is
+4.2 MB, 84 bytes per evolved node, at n = 1e5, and 12.8 MB, 51 bytes a node,
+at n = 499,999, the largest n the size guard lets through. With the (N, d)
+vectors and the phases formed over the whole grid and traced afterwards it
+was 7.3 MB (145 bytes a node) and 24.9 MB (100 bytes a node).
 """
 
 from __future__ import annotations
@@ -55,7 +64,9 @@ SYMMETRY_PROBES = 8
 # product term take at most 1.5 MB (d = 4), which stays in a typical core's L2
 # cache through the squarings. Of chunks of 1024 to 8192 nodes, 2048 was the
 # fastest at n = 1e5 for d = 3 and d = 4 on a 2-CPU Xeon with 2 MB of L2 per
-# core; d = 2 ran 20 ms at 2048 and 15 ms at 8192.
+# core; d = 2 ran 20 ms at 2048 and 15 ms at 8192. A chunk's phases and
+# vectors live only until it is traced, so beyond this fixed working set a
+# law keeps 24 bytes per evolved node while it powers (its index and psi).
 _NODE_CHUNK = 2048
 # column a is vec(V_a) for the basis V = (E00, E11, s_x, s_y); the
 # coordinates of X are Tr(V_a* X) / w_a with w = (1, 1, 2, 2), and those of
@@ -135,25 +146,33 @@ def _grid_size(n: int) -> int:
     return best
 
 
-def _power_vecs(H: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
-    """T(z)^n e at each point of the 1-d complex array z, shape (len(z), d),
-    where T(z) = H[0] + z H[1] is a d x d block of _reachable_block and
-    e = (1, 1, 0, ...) the coordinates of I; by square-and-multiply.
+def _power_traces(H: np.ndarray, r: np.ndarray, n: int, step: complex, x: np.ndarray) -> np.ndarray:
+    """r . T(z)^n e at the points z = e^{step x} for each entry of the 1-d
+    array x, where T(z) = H[0] + z H[1] is a d x d block of _reachable_block
+    and e = (1, 1, 0, ...) the coordinates of I; T^n e by square-and-multiply.
+    r has shape (d,) or (c, d), and the result (len(x),) or (len(x), c).
 
     The points are powered _NODE_CHUNK at a time, in structure-of-arrays form:
-    a chunk's blocks are one contiguous (d, d, m) array, a squaring is d
-    broadcast products summed over the inner index, and the chunk stays in
-    cache through all its squarings. The vectors accumulate the powers
-    T^(2^i) for the set bits of n; powers of one block commute, so the order
-    does not matter. Each point's arithmetic is the same for any chunking.
+    a chunk forms its own phases, its blocks are one contiguous (d, d, m)
+    array, a squaring is d broadcast products summed over the inner index,
+    and the chunk stays in cache through all its squarings. The vectors
+    accumulate the powers T^(2^i) for the set bits of n; powers of one block
+    commute, so the order does not matter. Each chunk's vectors are
+    contracted with r before the next chunk starts, so no array over all the
+    points holds more than the result. Each point's arithmetic is the same
+    for any chunking.
     """
     d = H.shape[1]
     HB, HC = H[..., None]
     e = np.zeros((d, 1))
     e[:2] = 1
-    out = np.empty((len(z), d), dtype=complex)
-    for lo in range(0, len(z), _NODE_CHUNK):
-        base = HB + z[lo : lo + _NODE_CHUNK] * HC
+    out = np.empty((len(x),) + r.shape[:-1], dtype=complex)
+    for lo in range(0, len(x), _NODE_CHUNK):
+        # a chunk's arrays are freed only as the next chunk's replace them:
+        # freed first, the allocator gave the heap back and faulted it in
+        # again for every chunk (8,500 more page faults per ex4 law at n = 1e5)
+        base = HB + np.exp(step * x[lo : lo + _NODE_CHUNK]) * HC
+        m = base.shape[2]
         square, term = np.empty_like(base), np.empty_like(base)
         v = e  # (d, 1): the first product broadcasts it over the chunk
         bits = n
@@ -169,7 +188,13 @@ def _power_vecs(H: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
                 for j in range(1, d):
                     square += np.multiply(base[:, j, None], base[None, j], out=term)
                 base, square = square, base
-        out[lo : lo + _NODE_CHUNK] = v.T
+        # numpy contracts a C-contiguous (m, d) operand of two rows or more by
+        # one matrix-vector kernel whose rounding of a row does not depend on m;
+        # a strided operand or a single row (a dot product) rounds differently,
+        # so a single point's row is repeated
+        vecs = np.empty((max(m, 2), d), dtype=complex)
+        vecs[:] = v.T
+        out[lo : lo + m] = (vecs @ r.T)[:m]
     return out
 
 
@@ -177,10 +202,10 @@ def dual_power(kp: KrausPair, k: float, n: int) -> np.ndarray:
     """Y_n(k) as a 2x2 matrix."""
     _check_steps(n)
     H, V = _reachable_block(kp)
-    y = _power_vecs(H, np.exp(-2j * np.array([k], dtype=float)), n)[0]
     # S(k) V = V (e^{ik} H_B + e^{-ik} H_C) = e^{ik} V T(e^{-2ik}), so
-    # vec(Y_n) = e^{ikn} V T^n e
-    return (np.exp(1j * k * n) * (V @ y)).reshape(2, 2)
+    # vec(Y_n) = e^{ikn} V T^n e: the rows of V take the place of r
+    y = _power_traces(H, V, n, -2j, np.array([k], dtype=float))[0]
+    return (np.exp(1j * k * n) * y).reshape(2, 2)
 
 
 def _probe_indices(size: int) -> np.ndarray:
@@ -225,11 +250,14 @@ def distribution_via_dual(kp: KrausPair, rho0, n: int) -> Distribution:
     size = _grid_size(n)
     half = size // 2 + 1
     probes = _probe_indices(size)
-    m = np.concatenate([np.arange(half), size - probes])
-    # psi(k) = e^{-ikn} Tr(rho0 Y_n(k)) = r . T(z)^n e at z = e^{-2ik}, with
-    # r_a = Tr(rho0 V_a) = vec(rho0^T) . vec(V_a)
+    # psi(k) = e^{-ikn} Tr(rho0 Y_n(k)) = r . T(z)^n e at z = e^{-2ik} =
+    # e^{-2 pi i m / M} for the node indices m, with r_a = Tr(rho0 V_a) =
+    # vec(rho0^T) . vec(V_a): rho0 enters only through r. The indices are a
+    # temporary, freed before the inversion.
     H, V = _reachable_block(kp)
-    psi = _power_vecs(H, np.exp(-2j * np.pi / size * m), n) @ (rho0.T.reshape(4) @ V)
+    m = np.concatenate([np.arange(half), size - probes])
+    psi = _power_traces(H, rho0.T.reshape(4) @ V, n, -2j * np.pi / size, m)
+    del m
     return finalize(*_invert_traces(psi[:half], psi[half:], probes, size, n), n)
 
 

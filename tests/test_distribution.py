@@ -22,6 +22,12 @@ def test_rejects_duplicate_sites():
             Distribution((np.array(sites), np.full(len(sites), 1 / len(sites))))
 
 
+def test_rejects_sites_or_weights_that_are_not_1d():
+    for mapping in ((3, 0.5), ([[1, 3]], [[0.5, 0.5]]), ([1, 3], [[0.5, 0.5]]), ([[1], [3]], [0.5, 0.5])):
+        with pytest.raises(ValueError, match="1-D"):
+            Distribution(mapping)
+
+
 def test_keeps_its_own_copy_of_the_arrays():
     sites, probs = np.array([-2, 0, 5]), np.array([0.25, 0.5, 0.25])
     d = Distribution((sites, probs))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from oqrw import catalog, core, dual, lattice
 from oqrw.distribution import ROUNDOFF_SCALE, compare, finalize
-from oqrw.core import I2, apply_adjoint_channel, random_kraus_pair
+from oqrw.core import I2, apply_adjoint_channel, density_matrix, random_kraus_pair
 from oqrw.exceptions import ResidueError, SizeError, SumError
 
 from conftest import brute_force_laws, make_random_pairs
@@ -211,52 +211,114 @@ RHO_OFFDIAG = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
 
 
 def test_laws_do_not_depend_on_the_node_chunk(monkeypatch):
-    """Each node's arithmetic is the same for any chunking, so the laws are equal."""
+    """Each node's arithmetic is the same for any chunking, so the laws are
+    equal; chunks of M/2 and M/2+1 nodes put a boundary just before and just
+    after the last of the M/2+1 main nodes, where the mirrored probes begin."""
     kp = random_kraus_pair(np.random.default_rng(41))
     ns = (0, 1, 63, 5000)
     want = [dual.distribution_via_dual(kp, RHO_OFFDIAG, n) for n in ns]
-    for chunk in (1, 7):
-        monkeypatch.setattr(dual, "_NODE_CHUNK", chunk)
-        for n, w in zip(ns, want):
+    for n, w in zip(ns, want):
+        size = dual._grid_size(n)
+        for chunk in (1, 7, max(1, size // 2), size // 2 + 1):
+            monkeypatch.setattr(dual, "_NODE_CHUNK", chunk)
             got = dual.distribution_via_dual(kp, RHO_OFFDIAG, n)
             assert np.array_equal(got.sites, w.sites) and np.array_equal(got.probs, w.probs)
 
 
-def test_power_vecs_matches_matrix_power_per_node():
+def _two_step_power_vecs(H, z, n):
+    """The powering before the trace was fused into it: T(z)^n e for every
+    point as one (len(z), d) array, 2048 points at a time, to be contracted
+    with r afterwards. The reference for the bits of dual._power_traces."""
+    d = H.shape[1]
+    HB, HC = H[..., None]
+    e = np.zeros((d, 1))
+    e[:2] = 1
+    out = np.empty((len(z), d), dtype=complex)
+    for lo in range(0, len(z), 2048):
+        base = HB + z[lo : lo + 2048] * HC
+        square, term = np.empty_like(base), np.empty_like(base)
+        v = e
+        bits = n
+        while bits:
+            if bits & 1:
+                acc = base[:, 0] * v[0]
+                for j in range(1, d):
+                    acc += base[:, j] * v[j]
+                v = acc
+            bits >>= 1
+            if bits:
+                np.multiply(base[:, 0, None], base[None, 0], out=square)
+                for j in range(1, d):
+                    square += np.multiply(base[:, j, None], base[None, j], out=term)
+                base, square = square, base
+        out[lo : lo + 2048] = v.T
+    return out
+
+
+def test_fused_trace_keeps_the_two_step_bits():
+    """r . T(z)^n e from the fused loop equals the (N, d) vectors of the
+    two-step formula times r bit for bit, at the nodes and with the r of
+    distribution_via_dual, for d = 2 (ex3), 3 (ex5) and 4 (random pairs);
+    and dual_power equals e^{ikn} V y at single momenta."""
+    pairs = [catalog.build(catalog.ExampleSpec(ident)) for ident in ("ex3", "ex5")] + make_random_pairs(3, seed=59)
+    assert [dual._reachable_block(kp)[0].shape[1] for kp in pairs] == [2, 3, 4, 4, 4]
+    for kp in pairs:
+        H, V = dual._reachable_block(kp)
+        for n in (0, 1, 63, 5000):
+            size = dual._grid_size(n)
+            m = np.concatenate([np.arange(size // 2 + 1), size - dual._probe_indices(size)])
+            vecs = _two_step_power_vecs(H, np.exp(-2j * np.pi / size * m), n)
+            for rho0 in RHO0S:
+                r = density_matrix(rho0).T.reshape(4) @ V
+                assert np.array_equal(dual._power_traces(H, r, n, -2j * np.pi / size, m), vecs @ r)
+        for k in (0.0, 0.3, -1.7, np.pi / 2, 2.9):
+            for n in (0, 1, 63, 5000):
+                y = _two_step_power_vecs(H, np.exp(-2j * np.array([k], dtype=float)), n)[0]
+                assert np.array_equal(dual.dual_power(kp, k, n), (np.exp(1j * k * n) * (V @ y)).reshape(2, 2))
+
+
+def test_power_traces_matches_matrix_power_per_node():
     """The chunked powering of the reduced block against numpy's matrix_power
-    node by node, over enough nodes that the last chunk is a partial one, and
-    mapped back through V against the n-th power of the 4x4 dual symbol."""
+    node by node, over enough nodes that the last chunk is a partial one:
+    with r the identity the traces are the vectors T^n e, and with r = V
+    they are mapped back through V against the n-th power of the 4x4 dual
+    symbol."""
     kp = random_kraus_pair(np.random.default_rng(43))
     H, V = dual._reachable_block(kp)
     for n in (0, 63, 5000):
         size = 2 * n + 2
         k = 2 * np.pi * np.arange(n + 10) / size
-        z = np.exp(-2j * k)
-        got = dual._power_vecs(H, z, n)
+        got = dual._power_traces(H, np.eye(4), n, -2j, k)
         assert got.shape == (n + 10, 4)
-        power = np.linalg.matrix_power(H[0] + z[:, None, None] * H[1], n)
+        power = np.linalg.matrix_power(H[0] + np.exp(-2j * k)[:, None, None] * H[1], n)
         want = power[..., 0] + power[..., 1]  # the coordinates of I are (1, 1, 0, 0)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         symbol = np.linalg.matrix_power(dual.dual_symbol(kp, k), n) @ I2.reshape(4)
         np.testing.assert_allclose(
-            np.exp(1j * k * n)[:, None] * (got @ V.T),
+            np.exp(1j * k * n)[:, None] * dual._power_traces(H, V, n, -2j, k),
             symbol,
             rtol=0,
             atol=min(1e-12, 4 * (n + 1) * np.finfo(float).eps),
         )
 
 
-def test_dual_law_memory_stays_small(ex5_pair, rho_half):
-    """No (N, 4, 4) symbol stack: the traced peak at n = 20000 stays under
-    8 MB, where a full stack of the 20,010 nodes' symbols alone takes 5.1 MB."""
-    dual.distribution_via_dual(ex5_pair, rho_half, 20000)
-    tracemalloc.start()
-    try:
-        dual.distribution_via_dual(ex5_pair, rho_half, 20000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8e6
+def test_dual_law_memory_stays_small(rho_half):
+    """No (N, 4, 4) symbol stack: the traced peak of ex5 at n = 20000 stays
+    under 8 MB, where a full stack of the 20,010 nodes' symbols alone takes
+    5.1 MB. No (N, d) vector array: the traced peak of ex4 (d = 4) at
+    n = 1e5 stays under 5 MB, where the 50,634 nodes' vectors alone take
+    3.2 MB and the two-step formula peaked at 7.3 MB."""
+    ex4 = catalog.ExampleSpec("ex4", {"eps": 0.2, "theta": 1.9})
+    for spec, n, bound in ((catalog.ExampleSpec("ex5"), 20000, 8e6), (ex4, 100_000, 5e6)):
+        kp = catalog.build(spec)
+        dual.distribution_via_dual(kp, rho_half, n)
+        tracemalloc.start()
+        try:
+            dual.distribution_via_dual(kp, rho_half, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (spec.id, n, peak)
 
 
 # The grid points z_m = e^{-2ik_m}: the M/2+1 nodes in [0, pi/2] have
@@ -268,17 +330,18 @@ def test_symmetry_guard_flags_corrupted_mirror_nodes(monkeypatch, example_pair, 
     """Corrupt what the inversion does not read: the mirrored probes in
     (pi/2, pi), and the imaginary part of the trace at k = 0. The laws stay
     bit-identical with the guard off, and the guard refuses them."""
-    clean = dual._power_vecs
+    clean = dual._power_traces
 
-    def corrupted(H, z, n):
-        v = clean(H, z, n)
-        v[z.imag > 1e-9] += 1e-6
-        v[z == 1, :2] += 1e-6j  # I = E00 + E11, and Tr(rho0 I) = 1: psi_0 gains 1e-6 i
-        return v
+    def corrupted(H, r, n, step, x):
+        psi = clean(H, r, n, step, x)
+        z = np.exp(step * x)
+        psi[z.imag > 1e-9] += 1e-6 * r.sum()  # every coordinate of T^n e gains 1e-6
+        psi[z == 1] += 1e-6j * r[:2].sum()  # I = E00 + E11, and Tr(rho0 I) = 1: psi_0 gains 1e-6 i
+        return psi
 
     ns = (1, 7, 40)
     want = [dual.distribution_via_dual(example_pair, rho_half, n) for n in ns]
-    monkeypatch.setattr(dual, "_power_vecs", corrupted)
+    monkeypatch.setattr(dual, "_power_traces", corrupted)
     with monkeypatch.context() as guard_off:
         guard_off.setattr(dual, "SYMMETRY_TOL", np.inf)
         for n, w in zip(ns, want):
@@ -290,12 +353,12 @@ def test_symmetry_guard_flags_corrupted_mirror_nodes(monkeypatch, example_pair, 
 
 
 def test_symmetry_guard_reads_the_mirrored_probes_alone(monkeypatch, example_pair, rho_half):
-    clean = dual._power_vecs
+    clean = dual._power_traces
 
-    def mirrors_only(H, z, n):
-        return clean(H, z, n) + 1e-6 * (z.imag > 1e-9)[:, None]
+    def mirrors_only(H, r, n, step, x):
+        return clean(H, r, n, step, x) + 1e-6 * r.sum() * (np.exp(step * x).imag > 1e-9)
 
-    monkeypatch.setattr(dual, "_power_vecs", mirrors_only)
+    monkeypatch.setattr(dual, "_power_traces", mirrors_only)
     for n in (7, 40):
         assert len(dual._probe_indices(dual._grid_size(n))) > 0
         with pytest.raises(ResidueError, match="conjugate-symmetry defect"):
