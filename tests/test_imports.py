@@ -84,3 +84,11 @@ def test_exact_engines_do_not_import_each_other():
     package = Path(oqrw.__file__).resolve().parent
     assert "dual" not in _package_imports(package / "lattice.py")
     assert "lattice" not in _package_imports(package / "dual.py")
+
+
+def test_trajectory_engine_is_independent_of_the_exact_engines():
+    # the sampled law checks both exact laws, so no engine may use another
+    package = Path(oqrw.__file__).resolve().parent
+    assert not {"lattice", "dual"} & _package_imports(package / "trajectory.py")
+    for exact in ("lattice.py", "dual.py"):
+        assert "trajectory" not in _package_imports(package / exact)

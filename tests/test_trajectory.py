@@ -1,9 +1,11 @@
+import hashlib
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from oqrw import cli, core, dual, trajectory
+from oqrw import catalog, cli, core, dual, trajectory
 from oqrw.core import KrausPair, validate_kraus_pair
 from oqrw.distribution import compare
 from oqrw.exceptions import DegenerateJump, ParameterError, SizeError
@@ -161,6 +163,23 @@ def test_sample_input_validation(ex5_pair, rho_half):
         trajectory.sample(ex5_pair, rho_half, -1, 10, seed=1)
 
 
+def test_bool_n_steps_is_refused(ex5_pair, rho_half):
+    # bool is an Integral: True would run one step and report "n_steps": true
+    with pytest.raises(ValueError, match="n_steps must be an integer"):
+        trajectory.sample(ex5_pair, rho_half, True, 10, seed=1)
+
+
+def test_fractional_n_steps_is_refused(ex5_pair, rho_half):
+    with pytest.raises(ValueError, match="n_steps must be an integer"):
+        trajectory.sample(ex5_pair, rho_half, 2.5, 10, seed=1)
+
+
+def test_float_n_traj_is_refused(ex5_pair, rho_half):
+    # refused even when integral in value, like the lattice and dual n
+    with pytest.raises(ValueError, match="n_traj must be an integer"):
+        trajectory.sample(ex5_pair, rho_half, 5, 10.0, seed=1)
+
+
 def test_sample_size_guard(monkeypatch, ex5_pair, rho_half):
     # 2n + 1 count bins over the bound: refused before anything is allocated
     monkeypatch.setattr(core, "MAX_SITES", 20)
@@ -184,10 +203,10 @@ def _fresh_stream_rows(seed: int, lo: int, hi: int, n: int) -> np.ndarray:
 def test_rekeyed_draws_match_fresh_generators(seed, n_steps):
     # 21 is not a multiple of the four doubles of a Philox block, so a buffer
     # left over from one trajectory would leak into the next; lo > 0 checks
-    # the offset of a later chunk
-    for lo, hi in ((0, 7), (4093, 4100)):
+    # the offset of a later chunk, and 5..135 spans three transposed tiles
+    for lo, hi in ((0, 7), (4093, 4100), (5, 135)):
         np.testing.assert_array_equal(
-            trajectory._uniforms(seed, lo, hi, n_steps), _fresh_stream_rows(seed, lo, hi, n_steps)
+            trajectory._uniforms(seed, lo, hi, n_steps), _fresh_stream_rows(seed, lo, hi, n_steps).T
         )
 
 
@@ -197,7 +216,7 @@ def test_draws_from_a_later_step_continue_the_stream(start):
     # trajectory's stream, which is what lets sample draw a long walk in blocks
     n = 9
     full = _fresh_stream_rows(2**63 + 5, 4093, 4100, start + n)
-    np.testing.assert_array_equal(trajectory._uniforms(2**63 + 5, 4093, 4100, n, start=start), full[:, start:])
+    np.testing.assert_array_equal(trajectory._uniforms(2**63 + 5, 4093, 4100, n, start=start), full[:, start:].T)
 
 
 def test_seeds_above_2_63_keep_their_own_stream():
@@ -225,3 +244,99 @@ def test_bool_seed_is_refused(ex5_pair, rho_half):
     # bool is an Integral: True would run as the stream of seed 1
     with pytest.raises(ParameterError):
         trajectory.sample(ex5_pair, rho_half, 5, 10, seed=True)
+
+
+def _reference_chunk(kp: KrausPair, rho0: np.ndarray, n_steps: int, seed: int, lo: int, hi: int) -> np.ndarray:
+    """The jump kernel as it stood before it went coordinate-major: the states
+    are Pauli rows, each step reads a column of draws, tests degeneracy with
+    two comparisons and moves x by +-1. It draws from fresh generators."""
+    m = hi - lo
+    both = np.hstack([M.T for M in core.branch_maps(kp)])
+    v = np.broadcast_to(core.to_pauli(rho0), (m, 4))
+    x = np.zeros(m, dtype=np.int64)
+    u = _fresh_stream_rows(seed, lo, hi, n_steps)
+    for t in range(n_steps):
+        cand = v @ both
+        p_b = cand[:, 0]
+        p_c = cand[:, 4]
+        if np.any((p_b < DEGENERATE_TOL) & (p_c < DEGENERATE_TOL)):
+            raise DegenerateJump("both branch probabilities vanish")
+        take_b = u[:, t] < p_b
+        take_b &= p_b >= DEGENERATE_TOL
+        take_b |= p_c < DEGENERATE_TOL
+        v = np.where(take_b[:, None], cand[:, :4], cand[:, 4:])
+        v /= v[:, :1]
+        x += np.where(take_b, -1, 1)
+    return np.bincount(x + n_steps, minlength=2 * n_steps + 1)
+
+
+def _reference_cases():
+    """ex5 from I/2, ex3 from |0><0| (its C branch vanishes at every step) and
+    a random pair from a mixed state with coherences."""
+    half = np.eye(2) / 2
+    zero = np.diag([1.0, 0.0])
+    mixed = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
+    return [
+        (catalog.build(catalog.ExampleSpec("ex5")), half),
+        (catalog.build(catalog.ExampleSpec("ex3")), zero),
+        (make_random_pairs(1, seed=22)[0], mixed),
+    ]
+
+
+def test_step_block_is_whole_philox_blocks():
+    # a later block re-keys at counter start / 4, so it must start on a block
+    assert trajectory.STEP_BLOCK % 4 == 0
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, None])
+def test_run_chunk_matches_reference_kernel(extra):
+    # n = B - 1, B, B + 1 and 2B + 3 for B = STEP_BLOCK: a short last block,
+    # exactly one block, one spare step, and two blocks and a remainder
+    block = trajectory.STEP_BLOCK
+    n = 2 * block + 3 if extra is None else block + extra
+    for kp, rho0 in _reference_cases():
+        for seed, lo, hi in ((7, 0, 130), (2**63 + 5, 4093, 4100)):
+            np.testing.assert_array_equal(
+                trajectory._run_chunk(kp, rho0, n, seed, lo, hi), _reference_chunk(kp, rho0, n, seed, lo, hi)
+            )
+
+
+def test_sample_matches_reference_kernel_over_small_chunks(monkeypatch):
+    # chunks of 7 trajectories: 20 = 7 + 7 + 6, and a single trajectory
+    monkeypatch.setattr(trajectory, "CHUNK", 7)
+    n = trajectory.STEP_BLOCK + 5
+    for kp, rho0 in _reference_cases():
+        for n_traj in (20, 1):
+            rep = trajectory.sample(kp, rho0, n, n_traj, seed=11)
+            counts = _reference_chunk(kp, rho0, n, 11, 0, n_traj)
+            keep = counts > 0
+            np.testing.assert_array_equal(rep.empirical.sites, np.arange(-n, n + 1)[keep])
+            np.testing.assert_array_equal(rep.empirical.probs, counts[keep] / n_traj)
+
+
+def test_sample_csv_bytes_are_pinned(tmp_path, capsys):
+    # the CSV of this command as written before the kernel went coordinate-major
+    out = tmp_path / "emp.csv"
+    argv = ["sample", "--example", "ex5", "--steps", "20", "--traj", "2000", "--seed", "2122", "--out", str(out)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "bd36a1186973e8432ec1e076a891876278d80c43d458be57c6a3e5aa5f612a9c"
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_draw_block_does_not_grow_with_the_walk(ex5_pair, rho_half):
+    # 512 x 1000 held a 3.9 MiB block (4.0 MiB traced) when a block was 4096
+    # steps; a 256-step block is 1 MiB. A full chunk at 600 steps held 18.75
+    # MiB of draws, and holds 8 MiB now, one block at a time.
+    mib = 2**20
+    assert _traced_peak(lambda: trajectory.sample(ex5_pair, rho_half, 1000, 512, seed=3)) < 1.5 * mib
+    assert _traced_peak(lambda: trajectory.sample(ex5_pair, rho_half, 600, trajectory.CHUNK, seed=3)) < 10 * mib
