@@ -190,7 +190,7 @@ def closed_form(spec: ExampleSpec, rho0_diag, n: int) -> Distribution:
         raise UnsupportedExample(f"{spec.id} has no closed-form law; use the engines")
     check_size(n + 1, "closed-form coefficients")
     if n == 0:
-        return finalize([0], [1.0], 0)
+        return finalize(0, [1.0], 0)
 
     # Accumulate on the even sublattice: coeff[i] is the mass at x = 2i - n.
     coeff = np.zeros(n + 1)
@@ -206,7 +206,7 @@ def closed_form(spec: ExampleSpec, rho0_diag, n: int) -> Distribution:
         pt = par["p"] - gamma**2 / 2
         qt = (1.0 - par["p"]) - gamma**2 / 2
         _ex3_accumulate(coeff, a, b, pt, qt, gamma, n)
-    return finalize(2 * np.arange(n + 1) - n, coeff, n)
+    return finalize(-n, coeff, n)
 
 
 def _binom_pmf(j: int, r: float) -> np.ndarray:
@@ -389,6 +389,8 @@ def cut_unfold_exact(rho0_diag, n: int) -> dict[int, Fraction]:
 
 
 def cut_unfold_distribution(rho0_diag, n: int) -> Distribution:
-    """The law of cut_unfold_exact in floats, through distribution.finalize."""
+    """The law of cut_unfold_exact in floats, through distribution.finalize:
+    dense over the sites -n, -n + 2, ..., n of its parity class, with 0 where
+    cut_unfold_exact has no site."""
     exact = cut_unfold_exact(rho0_diag, n)
-    return finalize(list(exact), [float(v) for v in exact.values()], n)
+    return finalize(-n, [float(exact.get(x, 0)) for x in range(-n, n + 1, 2)], n)

@@ -117,15 +117,16 @@ class Distribution:
         return cls((data["x"], data["p"]))
 
 
-def finalize(sites, p, n: int) -> Distribution:
-    """The reported law of an exact engine: site weights p of a time-n law,
-    as computed, checked and floored by the one roundoff policy.
+def finalize(lo: int, p, n: int) -> Distribution:
+    """The reported law of an exact engine: the weights p of the sites lo,
+    lo + 2, lo + 4, ... of a time-n law (every exact law lives on one parity
+    class), as computed, checked and floored by the one roundoff policy.
 
     With floor = ROUNDOFF_SCALE * (n + 1) * eps, in this order: a weight below
     -floor raises ResidueError; a total (kept plus floored mass) more than
-    MASS_TOL from 1 raises SumError; weights below floor are dropped.
+    MASS_TOL from 1 raises SumError; weights below floor are dropped. Only the
+    kept sites are formed.
     """
-    sites = np.asarray(sites, dtype=np.int64)
     p = np.asarray(p, dtype=float)
     floor = ROUNDOFF_SCALE * (n + 1) * _EPS
     lowest = float(p.min(initial=0.0))
@@ -134,8 +135,8 @@ def finalize(sites, p, n: int) -> Distribution:
     total = float(p.sum())
     if not abs(total - 1) <= MASS_TOL:  # a NaN total fails too
         raise SumError(f"probabilities sum to {total!r}, drift {abs(total - 1):.3e}")
-    keep = p >= floor
-    return Distribution((sites[keep], p[keep]))
+    keep = (p >= floor).nonzero()[0]
+    return Distribution((lo + 2 * keep, p[keep]))
 
 
 def compare(a: Distribution, b: Distribution) -> dict:

@@ -40,14 +40,15 @@ inverse FFT drops. The bound of 2n+2 nodes (`_check_steps`) is only the size
 guard.
 
 The initial state never enters the evolution; it appears only in the final
-trace, through r. Each chunk of nodes forms its own phases z, is powered and
-is contracted with r before the next chunk starts, so while it powers a law
-holds over the whole grid only the node indices and psi, 24 bytes a node.
+trace, through r. Each chunk of nodes forms its own indices and phases z, is
+powered in one working set of blocks and vectors that the law allocates
+once, and is contracted with r before the next chunk starts, so while it
+powers a law holds over the whole grid only psi, 16 bytes a node. psi is
+freed before the weights are floored, and only the kept sites are formed.
 The traced peak of one ex4 law (eps = 0.2, theta = 1.9, d = 4) from I/2 is
-4.2 MB, 84 bytes per evolved node, at n = 1e5, and 12.8 MB, 51 bytes a node,
-at n = 499,999, the largest n the size guard lets through. With the (N, d)
-vectors and the phases formed over the whole grid and traced afterwards it
-was 7.3 MB (145 bytes a node) and 24.9 MB (100 bytes a node).
+3.1 MB, 61 bytes per evolved node, at n = 1e5, in the powering, and 8.0 MB,
+32 bytes a node, at n = 499,999, the largest n the size guard lets through,
+in the inversion (psi and the real FFT's output).
 """
 
 from __future__ import annotations
@@ -64,10 +65,12 @@ SYMMETRY_PROBES = 8
 # product term take at most 1.5 MB (d = 4), which stays in a typical core's L2
 # cache through the squarings. Of chunks of 1024 to 8192 nodes, 2048 was the
 # fastest at n = 1e5 for d = 3 and d = 4 on a 2-CPU Xeon with 2 MB of L2 per
-# core; d = 2 ran 20 ms at 2048 and 15 ms at 8192. A chunk's phases and
-# vectors live only until it is traced, so beyond this fixed working set a
-# law keeps 24 bytes per evolved node while it powers (its index and psi).
+# core; d = 2 ran 20 ms at 2048 and 15 ms at 8192, and 1024 made the ex5 law
+# 23 % slower. The three blocks and three (d, 2048) vectors are allocated once
+# per law (1.9 MB at d = 4) and reused by every chunk, so beyond them a law
+# keeps 16 bytes per evolved node while it powers (psi).
 _NODE_CHUNK = 2048
+_E = np.array([[1], [1], [0], [0]], dtype=complex)  # e, the coordinates of I
 # column a is vec(V_a) for the basis V = (E00, E11, s_x, s_y); the
 # coordinates of X are Tr(V_a* X) / w_a with w = (1, 1, 2, 2), and those of
 # I are (1, 1, 0, 0). Row-major, vec(A X B) = kron(A, B^T) vec(X), so
@@ -146,55 +149,71 @@ def _grid_size(n: int) -> int:
     return best
 
 
-def _power_traces(H: np.ndarray, r: np.ndarray, n: int, step: complex, x: np.ndarray) -> np.ndarray:
-    """r . T(z)^n e at the points z = e^{step x} for each entry of the 1-d
-    array x, where T(z) = H[0] + z H[1] is a d x d block of _reachable_block
-    and e = (1, 1, 0, ...) the coordinates of I; T^n e by square-and-multiply.
-    r has shape (d,) or (c, d), and the result (len(x),) or (len(x), c).
+def _power_traces(H: np.ndarray, r: np.ndarray, n: int, step: complex, count: int, tail: np.ndarray) -> np.ndarray:
+    """r . T(z)^n e at the points z = e^{step x} for x = 0, 1, ..., count - 1
+    and then for each entry x of the 1-d array tail, where T(z) = H[0] + z H[1]
+    is a d x d block of _reachable_block and e = (1, 1, 0, ...) the
+    coordinates of I; T^n e by square-and-multiply. r has shape (d,) or
+    (c, d), and the result (count + len(tail),) or (count + len(tail), c).
 
     The points are powered _NODE_CHUNK at a time, in structure-of-arrays form:
-    a chunk forms its own phases, its blocks are one contiguous (d, d, m)
-    array, a squaring is d broadcast products summed over the inner index,
-    and the chunk stays in cache through all its squarings. The vectors
-    accumulate the powers T^(2^i) for the set bits of n; powers of one block
-    commute, so the order does not matter. Each chunk's vectors are
-    contracted with r before the next chunk starts, so no array over all the
-    points holds more than the result. Each point's arithmetic is the same
-    for any chunking.
+    a chunk forms its own indices x and phases z, its blocks are one
+    contiguous (d, d, m) array, a squaring is d broadcast products summed over
+    the inner index, and the chunk stays in cache through all its squarings.
+    The vectors accumulate the powers T^(2^i) for the set bits of n; powers
+    of one block commute, so the order does not matter. Each chunk's vectors
+    are contracted with r before the next chunk starts, so no array over all
+    the points holds more than the result. Each point's arithmetic is the
+    same for any chunking.
     """
     d = H.shape[1]
     HB, HC = H[..., None]
-    e = np.zeros((d, 1))
-    e[:2] = 1
-    out = np.empty((len(x),) + r.shape[:-1], dtype=complex)
-    for lo in range(0, len(x), _NODE_CHUNK):
-        # a chunk's arrays are freed only as the next chunk's replace them:
-        # freed first, the allocator gave the heap back and faulted it in
-        # again for every chunk (8,500 more page faults per ex4 law at n = 1e5)
-        base = HB + np.exp(step * x[lo : lo + _NODE_CHUNK]) * HC
-        m = base.shape[2]
-        square, term = np.empty_like(base), np.empty_like(base)
-        v = e  # (d, 1): the first product broadcasts it over the chunk
+    total = count + len(tail)
+    out = np.empty((total,) + r.shape[:-1], dtype=complex)
+    # one working set per law, which every chunk overwrites through the out
+    # argument of its products: the blocks base, square and term, and the
+    # vectors v, acc and prod. A partial last chunk of m points takes the
+    # leading 3 d d m and 3 d m entries, so its views are contiguous too.
+    width = min(_NODE_CHUNK, total)
+    blocks = np.empty((3, d, d, width), dtype=complex)
+    vectors = np.empty((3, d, width), dtype=complex)
+    for lo in range(0, total, width):
+        m = min(width, total - lo)
+        if m < width:
+            blocks = blocks.reshape(-1)[: 3 * d * d * m].reshape(3, d, d, m)
+            vectors = vectors.reshape(-1)[: 3 * d * m].reshape(3, d, m)
+        base, square, term = blocks[0], blocks[1], blocks[2]
+        v, acc, prod = vectors[0], vectors[1], vectors[2]
+        if lo + m <= count:
+            x = np.arange(lo, lo + m)
+        elif lo >= count:
+            x = tail[lo - count : lo + m - count]
+        else:
+            x = np.concatenate((np.arange(lo, count), tail[: lo + m - count]))
+        np.multiply(np.exp(step * x), HC, base)
+        np.add(HB, base, base)
+        v[:] = _E[:d]
         bits = n
         while bits:
             if bits & 1:
-                acc = base[:, 0] * v[0]
+                np.multiply(base[:, 0], v[0], acc)
                 for j in range(1, d):
-                    acc += base[:, j] * v[j]
-                v = acc
+                    acc += np.multiply(base[:, j], v[j], prod)
+                v, acc = acc, v
             bits >>= 1
             if bits:
-                np.multiply(base[:, 0, None], base[None, 0], out=square)
+                np.multiply(base[:, 0, None], base[None, 0], square)
                 for j in range(1, d):
-                    square += np.multiply(base[:, j, None], base[None, j], out=term)
+                    square += np.multiply(base[:, j, None], base[None, j], term)
                 base, square = square, base
         # numpy contracts a C-contiguous (m, d) operand of two rows or more by
         # one matrix-vector kernel whose rounding of a row does not depend on m;
         # a strided operand or a single row (a dot product) rounds differently,
-        # so a single point's row is repeated
-        vecs = np.empty((max(m, 2), d), dtype=complex)
-        vecs[:] = v.T
-        out[lo : lo + m] = (vecs @ r.T)[:m]
+        # so a single point's row is repeated. The blocks are free by now, and
+        # their buffer holds the rows.
+        rows = blocks.reshape(-1)[: max(m, 2) * d].reshape(-1, d)
+        rows[:] = v.T
+        out[lo : lo + m] = (rows @ r.T)[:m]
     return out
 
 
@@ -204,7 +223,7 @@ def dual_power(kp: KrausPair, k: float, n: int) -> np.ndarray:
     H, V = _reachable_block(kp)
     # S(k) V = V (e^{ik} H_B + e^{-ik} H_C) = e^{ik} V T(e^{-2ik}), so
     # vec(Y_n) = e^{ikn} V T^n e: the rows of V take the place of r
-    y = _power_traces(H, V, n, -2j, np.array([k], dtype=float))[0]
+    y = _power_traces(H, V, n, -2j, 0, np.array([k], dtype=float))[0]
     return (np.exp(1j * k * n) * y).reshape(2, 2)
 
 
@@ -219,15 +238,13 @@ def _probe_indices(size: int) -> np.ndarray:
     return np.array(sorted({round(1 + i * step) for i in range(SYMMETRY_PROBES)}), dtype=np.int64)
 
 
-def _invert_traces(
-    psi: np.ndarray, mirrored: np.ndarray, probes: np.ndarray, size: int, n: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _invert_traces(psi: np.ndarray, mirrored: np.ndarray, probes: np.ndarray, size: int, n: int) -> np.ndarray:
     """Invert the parity-grid samples of psi to site probabilities.
 
     psi[m] = e^{-ik_m n} Tr(rho0 Y_n(k_m)) at the M/2+1 nodes k_m = pi m / M
     in [0, pi/2], M = size = _grid_size(n); mirrored holds psi at pi - k_m
-    for m in probes = _probe_indices(M). Returns the raw (sites, p) on the
-    n+1 sites -n, -n+2, ..., n, roundoff included. Raises ResidueError if a mirrored
+    for m in probes = _probe_indices(M). Returns the raw weights of the n+1
+    sites -n, -n+2, ..., n, roundoff included. Raises ResidueError if a mirrored
     value differs from conj(psi[m]), or psi is not real at k = 0 or (M even)
     at k = pi/2, by more than SYMMETRY_TOL. Negative coefficients are left to
     distribution.finalize.
@@ -239,7 +256,7 @@ def _invert_traces(
     )
     if defect > SYMMETRY_TOL:
         raise ResidueError(f"conjugate-symmetry defect {defect:.3e} exceeds {SYMMETRY_TOL}")
-    return np.arange(-n, n + 1, 2, dtype=np.int64), np.fft.irfft(psi, size)[: n + 1]
+    return np.fft.irfft(psi, size)[: n + 1]
 
 
 def distribution_via_dual(kp: KrausPair, rho0, n: int) -> Distribution:
@@ -251,14 +268,14 @@ def distribution_via_dual(kp: KrausPair, rho0, n: int) -> Distribution:
     half = size // 2 + 1
     probes = _probe_indices(size)
     # psi(k) = e^{-ikn} Tr(rho0 Y_n(k)) = r . T(z)^n e at z = e^{-2ik} =
-    # e^{-2 pi i m / M} for the node indices m, with r_a = Tr(rho0 V_a) =
-    # vec(rho0^T) . vec(V_a): rho0 enters only through r. The indices are a
-    # temporary, freed before the inversion.
+    # e^{-2 pi i m / M} for the node indices m = 0, ..., M/2 and M - probes,
+    # with r_a = Tr(rho0 V_a) = vec(rho0^T) . vec(V_a): rho0 enters only
+    # through r. psi is freed before finalize runs.
     H, V = _reachable_block(kp)
-    m = np.concatenate([np.arange(half), size - probes])
-    psi = _power_traces(H, rho0.T.reshape(4) @ V, n, -2j * np.pi / size, m)
-    del m
-    return finalize(*_invert_traces(psi[:half], psi[half:], probes, size, n), n)
+    psi = _power_traces(H, rho0.T.reshape(4) @ V, n, -2j * np.pi / size, half, size - probes)
+    p = _invert_traces(psi[:half], psi[half:], probes, size, n)
+    del psi
+    return finalize(-n, p, n)
 
 
 def characteristic_function(kp: KrausPair, rho0, n: int, t, scale: float = 1.0):
@@ -266,8 +283,8 @@ def characteristic_function(kp: KrausPair, rho0, n: int, t, scale: float = 1.0):
 
     t may be a scalar or an array (the distribution is computed once).
     """
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    if not 0 < scale < np.inf:  # NaN fails too
+        raise ValueError(f"scale must be positive and finite, not {scale!r}")
     d = distribution_via_dual(kp, rho0, n)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     vals = np.exp(1j * np.outer(t_arr, d.sites.astype(float) / scale)) @ d.probs

@@ -119,5 +119,4 @@ def distribution(s: LatticeState) -> Distribution:
     drifted from 1 by more than MASS_TOL, and sites below the noise floor
     dropped.
     """
-    p = s.rows[:, 0]
-    return finalize(np.arange(s.lo, s.lo + 2 * len(p), 2), p, s.step_count)
+    return finalize(s.lo, s.rows[:, 0], s.step_count)

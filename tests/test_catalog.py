@@ -9,7 +9,7 @@ from scipy.stats import binom
 
 from oqrw import catalog, core
 from oqrw.catalog import ExampleSpec
-from oqrw.distribution import MASS_TOL, ROUNDOFF_SCALE, compare
+from oqrw.distribution import MASS_TOL, ROUNDOFF_SCALE, Distribution, compare
 from oqrw.exceptions import ParameterError, SizeError, UnsupportedExample
 from oqrw.lattice import distribution, evolve, initial_state
 
@@ -507,6 +507,21 @@ def test_cut_unfold_matches_lattice():
     for n in (1, 2, 3, 6, 10):
         d = catalog.cut_unfold_distribution((0.3, 0.7), n)
         assert compare(d, _law(kp, rho0, n))["max_abs"] <= 1e-11
+
+
+def test_cut_unfold_distribution_fills_the_parity_class(monkeypatch):
+    """cut_unfold_distribution passes finalize a dense array over the sites
+    -n, -n + 2, ..., n, with 0 where cut_unfold_exact has no site: the law is
+    the one built from the dict's own sites and floats, floored alike."""
+    gappy = {-6: Fraction(1, 4), -2: Fraction(1, 2), 4: Fraction(1, 4) - Fraction(1, 10**17), 6: Fraction(1, 10**17)}
+    real = catalog.cut_unfold_exact
+    for exact_law, n in ((lambda diag, n: gappy, 6), (real, 5), (real, 12)):
+        monkeypatch.setattr(catalog, "cut_unfold_exact", exact_law)
+        exact = exact_law((0.3, 0.7), n)
+        floor = ROUNDOFF_SCALE * (n + 1) * np.finfo(float).eps
+        want = Distribution({x: float(v) for x, v in exact.items() if float(v) >= floor})
+        assert catalog.cut_unfold_distribution((0.3, 0.7), n) == want
+    assert catalog.cut_unfold_distribution((0.3, 0.7), 6) != Distribution({x: float(v) for x, v in gappy.items()})
 
 
 def test_cut_unfold_size_guard():

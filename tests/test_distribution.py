@@ -45,39 +45,46 @@ def test_negative_handling():
 
 def test_finalize_floor_scales_with_n():
     eps = np.finfo(float).eps
-    sites = np.array([-1, 0, 1])
+    # p holds the sites -1, 1, 3 of one parity class
     # at n = 0 the floor is eps: -0.5 eps is roundoff and dropped, -3 eps is refused
-    d = finalize(sites, [-0.5 * eps, 1.0, 0.5 * eps], 0)
-    assert d.items() == [(0, 1.0)]
+    d = finalize(-1, [-0.5 * eps, 1.0, 0.5 * eps], 0)
+    assert d.items() == [(1, 1.0)]
     with pytest.raises(ResidueError, match="negative"):
-        finalize(sites, [-3 * eps, 1.0, 0.0], 0)
+        finalize(-1, [-3 * eps, 1.0, 0.0], 0)
     # at n = 99 the floor is 100 eps
-    d = finalize(sites, [-50 * eps, 1.0, 150 * eps], 99)
-    assert list(d.sites) == [0, 1]
+    d = finalize(-1, [-50 * eps, 1.0, 150 * eps], 99)
+    assert list(d.sites) == [1, 3]
     with pytest.raises(ResidueError):
-        finalize(sites, [-150 * eps, 1.0, 0.0], 99)
+        finalize(-1, [-150 * eps, 1.0, 0.0], 99)
+
+
+def test_finalize_reports_every_second_site_from_lo():
+    d = finalize(-3, [0.25, 0.0, 0.5, 0.25], 3)
+    assert d.items() == [(-3, 0.25), (1, 0.5), (3, 0.25)]
+    assert d.sites.dtype == np.int64
+    assert finalize(np.int64(4), [1.0], 0).items() == [(4, 1.0)]
 
 
 def test_finalize_checks_mass_before_flooring():
     with pytest.raises(SumError):
-        finalize([0, 1], [0.5, 0.5 - 2 * MASS_TOL], 4)
-    assert finalize([0, 1], [0.5, 0.5 - MASS_TOL / 2], 4).total() == pytest.approx(1.0, abs=MASS_TOL)
+        finalize(0, [0.5, 0.5 - 2 * MASS_TOL], 4)
+    assert finalize(0, [0.5, 0.5 - MASS_TOL / 2], 4).total() == pytest.approx(1.0, abs=MASS_TOL)
     # the negativity check comes first
     with pytest.raises(ResidueError):
-        finalize([0, 1], [1.0, -0.5], 4)
+        finalize(0, [1.0, -0.5], 4)
     # floored weights count towards the total: 2e4 sites at half the floor
     # carry 2.2e-8 of mass, while the one kept site holds exactly 1
     n = 10**4
     tiny = np.full(2 * 10**4, 0.5 * (n + 1) * np.finfo(float).eps)
     with pytest.raises(SumError):
-        finalize(np.arange(tiny.size + 1), np.append(1.0, tiny), n)
+        finalize(0, np.append(1.0, tiny), n)
 
 
 def test_finalize_refuses_a_nan_total():
     # NaN compares false with everything, so a check written as drift > MASS_TOL lets it through
     for p in ([np.nan, 1.0], [np.nan, np.nan]):
         with pytest.raises(SumError, match="nan"):
-            finalize([0, 2], p, 1)
+            finalize(-1, p, 1)
 
 
 def test_every_exact_route_exits_through_finalize(monkeypatch):
@@ -85,8 +92,8 @@ def test_every_exact_route_exits_through_finalize(monkeypatch):
     each return the Distribution that finalize built, and call it once."""
     made = []
 
-    def recording(sites, p, n):
-        made.append(finalize(sites, p, n))
+    def recording(lo, p, n):
+        made.append(finalize(lo, p, n))
         return made[-1]
 
     for module in (lattice, dual, catalog):

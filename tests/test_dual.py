@@ -154,9 +154,9 @@ def test_half_grid_matches_full_grid(monkeypatch, rho_half):
     differ only on sites within a factor 2 of the floor."""
     raw = []
 
-    def recording_finalize(sites, p, n):
-        raw.append((sites, p))
-        return finalize(sites, p, n)
+    def recording_finalize(lo, p, n):
+        raw.append((lo, p))
+        return finalize(lo, p, n)
 
     monkeypatch.setattr(dual, "finalize", recording_finalize)
     rho0s = (rho_half, np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]))
@@ -166,12 +166,12 @@ def test_half_grid_matches_full_grid(monkeypatch, rho_half):
             floor = ROUNDOFF_SCALE * (n + 1) * np.finfo(float).eps
             for rho0, (ref_sites, ref_p) in zip(rho0s, _full_grid_laws(kp, rho0s, n)):
                 got = dual.distribution_via_dual(kp, rho0, n)
-                sites, p = raw.pop()
+                lo, p = raw.pop()
                 on_parity = (ref_sites + n) % 2 == 0
-                assert np.array_equal(sites, ref_sites[on_parity])
+                assert lo == -n and np.array_equal(lo + 2 * np.arange(len(p)), ref_sites[on_parity])
                 assert np.max(np.abs(p - ref_p[on_parity])) <= 1e-13
                 assert np.max(np.abs(ref_p[~on_parity]), initial=0.0) <= floor
-                want = finalize(ref_sites, ref_p, n)
+                want = finalize(-n, ref_p[on_parity], n)
                 for x in np.setxor1d(got.sites, want.sites):
                     assert floor / 2 <= max(got.prob(int(x)), want.prob(int(x))) <= 2 * floor
 
@@ -213,13 +213,16 @@ RHO_OFFDIAG = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
 def test_laws_do_not_depend_on_the_node_chunk(monkeypatch):
     """Each node's arithmetic is the same for any chunking, so the laws are
     equal; chunks of M/2 and M/2+1 nodes put a boundary just before and just
-    after the last of the M/2+1 main nodes, where the mirrored probes begin."""
+    after the last of the M/2+1 main nodes, where the mirrored probes begin,
+    and a chunk of the M/2+1 main nodes and half the probes puts one among
+    the probes."""
     kp = random_kraus_pair(np.random.default_rng(41))
     ns = (0, 1, 63, 5000)
     want = [dual.distribution_via_dual(kp, RHO_OFFDIAG, n) for n in ns]
     for n, w in zip(ns, want):
         size = dual._grid_size(n)
-        for chunk in (1, 7, max(1, size // 2), size // 2 + 1):
+        among_probes = size // 2 + 1 + len(dual._probe_indices(size)) // 2
+        for chunk in (1, 7, max(1, size // 2), size // 2 + 1, among_probes):
             monkeypatch.setattr(dual, "_NODE_CHUNK", chunk)
             got = dual.distribution_via_dual(kp, RHO_OFFDIAG, n)
             assert np.array_equal(got.sites, w.sites) and np.array_equal(got.probs, w.probs)
@@ -266,11 +269,13 @@ def test_fused_trace_keeps_the_two_step_bits():
         H, V = dual._reachable_block(kp)
         for n in (0, 1, 63, 5000):
             size = dual._grid_size(n)
-            m = np.concatenate([np.arange(size // 2 + 1), size - dual._probe_indices(size)])
+            tail = size - dual._probe_indices(size)
+            m = np.concatenate([np.arange(size // 2 + 1), tail])
             vecs = _two_step_power_vecs(H, np.exp(-2j * np.pi / size * m), n)
             for rho0 in RHO0S:
                 r = density_matrix(rho0).T.reshape(4) @ V
-                assert np.array_equal(dual._power_traces(H, r, n, -2j * np.pi / size, m), vecs @ r)
+                got = dual._power_traces(H, r, n, -2j * np.pi / size, size // 2 + 1, tail)
+                assert np.array_equal(got, vecs @ r)
         for k in (0.0, 0.3, -1.7, np.pi / 2, 2.9):
             for n in (0, 1, 63, 5000):
                 y = _two_step_power_vecs(H, np.exp(-2j * np.array([k], dtype=float)), n)[0]
@@ -288,14 +293,14 @@ def test_power_traces_matches_matrix_power_per_node():
     for n in (0, 63, 5000):
         size = 2 * n + 2
         k = 2 * np.pi * np.arange(n + 10) / size
-        got = dual._power_traces(H, np.eye(4), n, -2j, k)
+        got = dual._power_traces(H, np.eye(4), n, -2j, 0, k)
         assert got.shape == (n + 10, 4)
         power = np.linalg.matrix_power(H[0] + np.exp(-2j * k)[:, None, None] * H[1], n)
         want = power[..., 0] + power[..., 1]  # the coordinates of I are (1, 1, 0, 0)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         symbol = np.linalg.matrix_power(dual.dual_symbol(kp, k), n) @ I2.reshape(4)
         np.testing.assert_allclose(
-            np.exp(1j * k * n)[:, None] * dual._power_traces(H, V, n, -2j, k),
+            np.exp(1j * k * n)[:, None] * dual._power_traces(H, V, n, -2j, 0, k),
             symbol,
             rtol=0,
             atol=min(1e-12, 4 * (n + 1) * np.finfo(float).eps),
@@ -305,11 +310,22 @@ def test_power_traces_matches_matrix_power_per_node():
 def test_dual_law_memory_stays_small(rho_half):
     """No (N, 4, 4) symbol stack: the traced peak of ex5 at n = 20000 stays
     under 8 MB, where a full stack of the 20,010 nodes' symbols alone takes
-    5.1 MB. No (N, d) vector array: the traced peak of ex4 (d = 4) at
-    n = 1e5 stays under 5 MB, where the 50,634 nodes' vectors alone take
-    3.2 MB and the two-step formula peaked at 7.3 MB."""
+    5.1 MB. No (N, d) vector array and one working set per law: at n = 1e5
+    the traced peak of ex4 (d = 4) stays under 3.4 MB, where the 50,634
+    nodes' vectors alone take 3.2 MB, chunk arrays that lived until the next
+    chunk's replaced them peaked at 4.2 MB and the two-step formula at
+    7.3 MB; that of ex5 (d = 3) stays under 2.5 MB, where it was 3.0 MB. No
+    site array, and psi freed before finalize: at n = 499,999 the peak of
+    ex4, psi and the real FFT's output, stays under 8.5 MB, where it was
+    12.8 MB."""
     ex4 = catalog.ExampleSpec("ex4", {"eps": 0.2, "theta": 1.9})
-    for spec, n, bound in ((catalog.ExampleSpec("ex5"), 20000, 8e6), (ex4, 100_000, 5e6)):
+    cases = (
+        (catalog.ExampleSpec("ex5"), 20000, 8e6),
+        (ex4, 100_000, 3.4e6),
+        (catalog.ExampleSpec("ex5"), 100_000, 2.5e6),
+        (ex4, 499_999, 8.5e6),
+    )
+    for spec, n, bound in cases:
         kp = catalog.build(spec)
         dual.distribution_via_dual(kp, rho_half, n)
         tracemalloc.start()
@@ -332,9 +348,9 @@ def test_symmetry_guard_flags_corrupted_mirror_nodes(monkeypatch, example_pair, 
     bit-identical with the guard off, and the guard refuses them."""
     clean = dual._power_traces
 
-    def corrupted(H, r, n, step, x):
-        psi = clean(H, r, n, step, x)
-        z = np.exp(step * x)
+    def corrupted(H, r, n, step, count, tail):
+        psi = clean(H, r, n, step, count, tail)
+        z = np.exp(step * np.concatenate([np.arange(count), tail]))
         psi[z.imag > 1e-9] += 1e-6 * r.sum()  # every coordinate of T^n e gains 1e-6
         psi[z == 1] += 1e-6j * r[:2].sum()  # I = E00 + E11, and Tr(rho0 I) = 1: psi_0 gains 1e-6 i
         return psi
@@ -355,8 +371,9 @@ def test_symmetry_guard_flags_corrupted_mirror_nodes(monkeypatch, example_pair, 
 def test_symmetry_guard_reads_the_mirrored_probes_alone(monkeypatch, example_pair, rho_half):
     clean = dual._power_traces
 
-    def mirrors_only(H, r, n, step, x):
-        return clean(H, r, n, step, x) + 1e-6 * r.sum() * (np.exp(step * x).imag > 1e-9)
+    def mirrors_only(H, r, n, step, count, tail):
+        z = np.exp(step * np.concatenate([np.arange(count), tail]))
+        return clean(H, r, n, step, count, tail) + 1e-6 * r.sum() * (z.imag > 1e-9)
 
     monkeypatch.setattr(dual, "_power_traces", mirrors_only)
     for n in (7, 40):
@@ -445,11 +462,11 @@ def test_invert_traces_residue_guard():
     # a real spectrum with a coefficient below the roundoff floor is refused, not filtered
     coeff = np.zeros(4)
     coeff[0], coeff[1] = 1.0 + 1e-11, -1e-11
-    sites, p = dual._invert_traces(*_parity_spectrum(coeff), 3)
-    assert np.array_equal(sites, [-3, -1, 1, 3])
+    p = dual._invert_traces(*_parity_spectrum(coeff), 3)
+    assert p.shape == (4,)  # the sites -3, -1, 1, 3
     np.testing.assert_allclose(p, coeff, rtol=0, atol=1e-16)
     with pytest.raises(ResidueError, match="negative"):
-        finalize(sites, p, 3)
+        finalize(-3, p, 3)
 
 
 def test_imaginary_part_at_the_real_nodes_is_refused():
@@ -479,11 +496,12 @@ def test_nan_entry_is_refused_not_emptied(rho_half):
 def test_negated_interior_coefficient_is_refused(ex5_pair, rho_half):
     n = 40
     d = dual.distribution_via_dual(ex5_pair, rho_half, n)
-    p = d.probs.copy()
-    p[len(p) // 2] *= -1
-    finalize(d.sites, d.probs, n)
+    p = np.zeros(n + 1)  # the parity class -n, -n + 2, ..., n
+    p[(d.sites + n) // 2] = d.probs
+    assert finalize(-n, p, n) == d
+    p[n // 2] *= -1
     with pytest.raises(ResidueError, match="negative"):
-        finalize(d.sites, p, n)
+        finalize(-n, p, n)
 
 
 RHO0S = (np.eye(2) / 2, np.diag([1.0, 0.0]), RHO_OFFDIAG)
@@ -513,8 +531,9 @@ def test_characteristic_function_scalar_and_array(ex5_pair, rho_half):
     assert arr[1] == pytest.approx(1.0)
     # symmetric law: phi(t) real and even
     assert arr[0] == pytest.approx(arr[2].conjugate(), abs=1e-14)
-    with pytest.raises(ValueError):
-        dual.characteristic_function(ex5_pair, rho_half, 4, 1.0, scale=0.0)
+    for scale in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            dual.characteristic_function(ex5_pair, rho_half, 4, 1.0, scale=scale)
 
 
 def test_characteristic_function_matches_direct_sum(ex5_pair, rho_half):

@@ -91,6 +91,39 @@ def test_clt_params_ex2(p):
     assert out.sigma2 == pytest.approx(p / (1.0 - p), abs=1e-10)
 
 
+def _moment_growth(kp, n):
+    """The growth of the mean and the variance from step n to n + 1 from I/2,
+    by the 12x12 moment map on (sum_x rho_x, sum_x x rho_x, sum_x x^2 rho_x)
+    in Pauli coordinates. A step sends rho_x to B rho_x B* at x - 1 and to
+    C rho_x C* at x + 1, so with S = M_B + M_C and D = M_C - M_B the map is
+    [[S, 0, 0], [D, S, 0], [S, 2D, S]]; coordinate 0 is the trace."""
+    MB, MC = core.branch_maps(kp)
+    S, D, Z = MB + MC, MC - MB, np.zeros((4, 4))
+    step = np.block([[S, Z, Z], [D, S, Z], [S, 2 * D, S]])
+    mu = np.linalg.matrix_power(step, n) @ np.concatenate([core.to_pauli(I2 / 2), np.zeros(8)])
+    (mean0, second0), (mean1, second1) = mu[[4, 8]], (step @ mu)[[4, 8]]
+    return mean1 - mean0, (second1 - mean1**2) - (second0 - mean0**2)
+
+
+def test_clt_params_of_a_slowly_mixing_pair():
+    """A random pair whose channel has the second eigenvalue 0.99345: the
+    moment growth from I/2 has not settled to 1e-7 by n = 2000 (the variance
+    growth is still 5.7e-7 low there), but from n = 4000 on it gives the m and
+    sigma^2 of clt_params."""
+    kp = random_kraus_pair(np.random.default_rng([2324, 3, 0]))
+    MB, MC = core.branch_maps(kp)
+    second = sorted(np.abs(np.linalg.eigvals(MB + MC)))[-2]
+    assert 0.993 < second < 0.994
+    out = limits.clt_params(kp)
+    assert out.m == pytest.approx(-0.2057633403, abs=1e-10)
+    assert out.sigma2 == pytest.approx(1.16465997, abs=1e-8)
+    assert abs(_moment_growth(kp, 2000)[1] - out.sigma2) > 1e-7
+    for n in (4000, 5000):
+        m, sigma2 = _moment_growth(kp, n)
+        assert abs(m - out.m) <= 1e-10
+        assert abs(sigma2 - out.sigma2) <= 1e-8
+
+
 @pytest.mark.parametrize("text", ["ex1", "ex4"])
 def test_clt_params_refuses_degenerate(text):
     with pytest.raises(NonUniqueInvariant):
