@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import KrausPair, check_size, density_matrix, validate_kraus_pair
+from .core import KrausPair, check_integer, check_size, density_matrix, validate_kraus_pair
 from .distribution import Distribution, finalize
 from .exceptions import ParameterError, SizeError, UnsupportedExample
 
@@ -52,13 +52,9 @@ class ExampleSpec:
 
 
 def parse_example_spec(text: str) -> ExampleSpec:
-    """Parse 'ex3:p=0.5,gamma=0.4' style strings. Unknown keys are rejected."""
+    """Parse 'ex3:p=0.5,gamma=0.4' style strings. The example id, its keys
+    and their ranges are checked by _merged_params, as build checks them."""
     ident, _, tail = text.strip().partition(":")
-    if ident not in _DEFAULTS:
-        raise ParameterError(
-            f"unknown example {ident!r}; expected one of {sorted(_DEFAULTS)}"
-        )
-    allowed = _DEFAULTS[ident]
     params: dict[str, float] = {}
     if tail:
         for item in tail.split(","):
@@ -66,15 +62,13 @@ def parse_example_spec(text: str) -> ExampleSpec:
             key = key.strip()
             if not sep:
                 raise ParameterError(f"malformed parameter {item!r}; expected key=value")
-            if key not in allowed:
-                raise ParameterError(
-                    f"unknown parameter {key!r} for {ident}; allowed: {sorted(allowed) or 'none'}"
-                )
             try:
                 params[key] = float(val)
             except ValueError:
                 raise ParameterError(f"parameter {key!r} has non-numeric value {val!r}") from None
-    return ExampleSpec(ident, params)
+    spec = ExampleSpec(ident, params)
+    _merged_params(spec)
+    return spec
 
 
 def _merged_params(spec: ExampleSpec) -> dict[str, float]:
@@ -82,10 +76,12 @@ def _merged_params(spec: ExampleSpec) -> dict[str, float]:
     ranges: build and closed_form both take them from here."""
     allowed = _DEFAULTS.get(spec.id)
     if allowed is None:
-        raise ParameterError(f"unknown example {spec.id!r}")
+        raise ParameterError(f"unknown example {spec.id!r}; expected one of {sorted(_DEFAULTS)}")
     extra = set(spec.params) - set(allowed)
     if extra:
-        raise ParameterError(f"unknown parameter(s) {sorted(extra)} for {spec.id}")
+        raise ParameterError(
+            f"unknown parameter(s) {sorted(extra)} for {spec.id}; allowed: {sorted(allowed) or 'none'}"
+        )
     par = {**allowed, **spec.params}
     if "p" in par and not 0.0 <= par["p"] <= 1.0:
         raise ParameterError(f"p={par['p']} violates 0 <= p <= 1")
@@ -184,8 +180,7 @@ def closed_form(spec: ExampleSpec, rho0_diag, n: int) -> Distribution:
     """
     par = _merged_params(spec)
     a, b = _check_diag(rho0_diag)
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    check_integer(n, "n", 0)
     if spec.id in ("ex2", "ex5"):
         raise UnsupportedExample(f"{spec.id} has no closed-form law; use the engines")
     check_size(n + 1, "closed-form coefficients")
@@ -325,8 +320,7 @@ def ex5_lambda1(k) -> np.ndarray | float:
 
 def ex5_power_traces(l: int) -> float:
     """Tr(B*^l B^l) = Tr(C*^l C^l) = (l^2 + 2) / 3^l for the ex5 pair."""
-    if l < 0:
-        raise ValueError("l must be >= 0")
+    check_integer(l, "l", 0)
     return (l * l + 2) / 3.0**l
 
 
@@ -371,8 +365,7 @@ def _cut_unfold_tables(n: int) -> tuple[list, list]:
 
 def cut_unfold_exact(rho0_diag, n: int) -> dict[int, Fraction]:
     """Exact rational law at time n, keyed by site."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    check_integer(n, "n", 0)
     if n > CUT_UNFOLD_MAX_STEPS:
         raise SizeError(f"n={n} exceeds the enumeration bound {CUT_UNFOLD_MAX_STEPS}")
     a, _ = _check_diag(rho0_diag)

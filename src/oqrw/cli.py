@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import catalog, dual, lattice, limits, trajectory
-from .core import KrausPair, check_size, mat2_from_json, mat2_to_json, validate_kraus_pair
+from .core import KrausPair, check_integer, check_seed, check_size, mat2_from_json, mat2_to_json, validate_kraus_pair
 from .distribution import Distribution, compare
 from .exceptions import (
     NormalizationError,
@@ -34,7 +34,10 @@ _IDENTITY_HALF = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
 def check_config(data) -> dict:
     """The run config held by a JSON object, checked: a dict of the fields
     kraus, rho0, steps, method, seed, traj and output in that order, with
-    None for an absent optional field. ParameterError for anything else."""
+    None for an absent optional field. steps >= 0 and traj >= 1 are checked
+    by core.check_integer (ValueError, for a bool or 3.0 too) and seed by
+    core.check_seed, as trajectory.sample checks them; ParameterError for
+    anything else."""
     if not isinstance(data, dict):
         raise ParameterError("config must be a JSON object")
     fields = ("kraus", "rho0", "steps", "method", "seed", "traj", "output")
@@ -58,23 +61,13 @@ def check_config(data) -> dict:
             _json_str("path", output["path"])
         if _json_str("format", output.get("format", "csv")) not in FORMATS:
             raise ParameterError(f"output format must be one of {FORMATS}")
-    steps = _json_int("steps", data["steps"])
-    if steps < 0:
-        raise ParameterError(f"steps {steps} must be >= 0")
+    check_integer(data["steps"], "steps", 0)
     seed, traj = data.get("seed"), data.get("traj")
     if seed is not None:
-        trajectory._check_seed(seed)
+        check_seed(seed)
     if traj is not None:
-        _json_int("traj", traj)
+        check_integer(traj, "traj", 1)
     return {key: data.get(key) for key in fields}
-
-
-def _json_int(name: str, value) -> int:
-    """value itself when it is an integer; ParameterError for anything else,
-    bools and integral floats such as 3.0 included, so nothing is truncated."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParameterError(f"{name} {value!r} is not an integer")
-    return value
 
 
 def _json_str(name: str, value) -> str:
@@ -247,7 +240,6 @@ def _cmd_compare(args) -> int:
 
 def _cmd_init_example(args) -> int:
     spec = catalog.parse_example_spec(args.example)
-    catalog.build(spec)  # validate parameters before writing anything
     output = {"path": args.result, "format": args.format} if args.result else None
     data = dict(kraus={"example": spec.text()}, rho0=_IDENTITY_HALF, steps=args.steps, method=args.method,
                 seed=args.seed, traj=args.traj, output=output)

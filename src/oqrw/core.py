@@ -17,7 +17,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .exceptions import NormalizationError, SizeError
+from .exceptions import NormalizationError, ParameterError, SizeError
 
 KRAUS_TOL = 1e-12
 HERMITIAN_TOL = 1e-12
@@ -42,11 +42,22 @@ def check_size(count: int, what: str) -> None:
         raise SizeError(f"{count} {what} exceed the limit {MAX_SITES}")
 
 
-def check_integer(value, name: str) -> None:
-    """Raise ValueError unless value is an integer: a numbers.Integral such as
-    int or np.int64, and not a bool."""
+def check_integer(value, name: str, least: int | None = None) -> None:
+    """Raise ValueError unless value is an integer, and at least `least` when
+    that is given: a numbers.Integral such as int or np.int64, and not a bool.
+    Every step count, trajectory count and site of the package is checked
+    here."""
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}")
+
+
+def check_seed(seed) -> None:
+    """Raise ParameterError unless seed is an integer in [0, 2**64), the key
+    word of the trajectory streams."""
+    if isinstance(seed, bool) or not (isinstance(seed, Integral) and 0 <= seed < 2**64):
+        raise ParameterError(f"seed {seed!r} is not an integer in [0, 2**64)")
 
 
 def as_mat2(a) -> np.ndarray:

@@ -6,11 +6,14 @@ import numpy as np
 
 from .exceptions import ResidueError, SumError
 
-# The noise floor of a time-n exact law is ROUNDOFF_SCALE * (n + 1) * eps:
-# the roundoff of every exact route grows about linearly in n.
-ROUNDOFF_SCALE = 1.0
 MASS_TOL = 1e-8
 _EPS = float(np.finfo(float).eps)
+
+
+def noise_floor(n: int) -> float:
+    """The noise floor (n + 1) * eps of a time-n exact law: the roundoff of
+    every exact route grows about linearly in n."""
+    return (n + 1) * _EPS
 
 
 class Distribution:
@@ -122,13 +125,13 @@ def finalize(lo: int, p, n: int) -> Distribution:
     lo + 2, lo + 4, ... of a time-n law (every exact law lives on one parity
     class), as computed, checked and floored by the one roundoff policy.
 
-    With floor = ROUNDOFF_SCALE * (n + 1) * eps, in this order: a weight below
+    With floor = noise_floor(n) = (n + 1) * eps, in this order: a weight below
     -floor raises ResidueError; a total (kept plus floored mass) more than
     MASS_TOL from 1 raises SumError; weights below floor are dropped. Only the
     kept sites are formed.
     """
     p = np.asarray(p, dtype=float)
-    floor = ROUNDOFF_SCALE * (n + 1) * _EPS
+    floor = noise_floor(n)
     lowest = float(p.min(initial=0.0))
     if lowest < -floor:
         raise ResidueError(f"negative weight {lowest:.3e} below the roundoff floor {-floor:.3e}")

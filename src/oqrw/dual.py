@@ -36,8 +36,8 @@ pi - k is the conjugate of psi at k: only the M/2+1 nodes in [0, pi/2] are
 evolved, and a real inverse FFT of length M returns the n+1 weights of the
 walk's parity class. A few mirrored nodes in (pi/2, pi) are evolved as well,
 to check that symmetry, together with the imaginary parts that the real
-inverse FFT drops. The bound of 2n+2 nodes (`_check_steps`) is only the size
-guard.
+inverse FFT drops. `_check_steps` takes n through `core.check_integer` and
+bounds the full grid of 2n+2 nodes, which is only the size guard.
 
 The initial state never enters the evolution; it appears only in the final
 trace, through r. Each chunk of nodes forms its own indices and phases z, is
@@ -129,9 +129,7 @@ def _reachable_block(kp: KrausPair) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_steps(n: int) -> None:
-    check_integer(n, "n")
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    check_integer(n, "n", 0)
     check_size(2 * n + 2, "Fourier nodes")
 
 

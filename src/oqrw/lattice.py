@@ -92,9 +92,7 @@ def evolve(kp: KrausPair, s0: LatticeState, n: int) -> LatticeState:
     Raises SizeError before starting if the final support could exceed
     core.MAX_SITES sites.
     """
-    check_integer(n, "n")
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    check_integer(n, "n", 0)
     check_size(2 * len(s0.rows) - 1 + 2 * n, "lattice sites")
     lo, v = s0.lo, s0.rows
     for K in _block_kernels(kp, n):

@@ -22,6 +22,7 @@ invariant state is degenerate but a particular rho_inf is known.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -33,6 +34,7 @@ from .core import (
     apply_adjoint_channel,
     apply_channel,
     branch_maps,
+    check_integer,
     check_size,
     density_matrix,
     from_pauli,
@@ -186,8 +188,7 @@ def laplace_ratio(f, g, interval: tuple[float, float], n: int) -> float:
         raise ValueError("interval ends must be finite")
     if not hi > lo:
         raise ValueError("interval must satisfy lo < hi")
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    check_integer(n, "n", 0)
     x = np.linspace(lo, hi, SIMPSON_PANELS + 1)
     fx = np.asarray(f(x), dtype=float)
     gx = np.asarray(g(x), dtype=float)
@@ -242,9 +243,8 @@ def ex5_alpha(n: int) -> float:
     """
     from .catalog import _ex5_gap
 
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    cut = min(np.pi / 2, 40 / np.sqrt(n))
+    check_integer(n, "n", 1)
+    cut = min(np.pi / 2, 40 / math.sqrt(n))
     edges = np.concatenate(
         [np.linspace(0, cut, ALPHA_PEAK_PANELS + 1), np.linspace(cut, np.pi / 2, ALPHA_TAIL_PANELS + 1)[1:]]
     )
@@ -261,16 +261,15 @@ def drift_concentration_check(kp: KrausPair, rho0, alpha: float, n: int) -> floa
     C with a single off-diagonal coupling gamma) is supported: its time-n
     distribution has an exact closed form, so the reported tail mass is exact
     rather than truncated. The walk drifts to -n; everything at distance
-    more than 0.5 * n^alpha from -n is summed. Raises ValueError for n < 0
-    or a NaN alpha, and SizeError before allocating more than core.MAX_SITES
-    coefficients.
+    more than 0.5 * n^alpha from -n is summed. Raises ValueError for an n
+    that is not an integer >= 0 or a NaN alpha, and SizeError before
+    allocating more than core.MAX_SITES coefficients.
     """
     from .catalog import _diag_of, _ex3_accumulate, _recover_ex3
 
     pt, qt, gamma = _recover_ex3(kp)
     a, b = _diag_of(rho0)
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    check_integer(n, "n", 0)
     if np.isnan(alpha):
         raise ValueError("alpha must not be NaN")
     check_size(n + 1, "drift-window coefficients")

@@ -26,13 +26,12 @@ draws.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .core import KrausPair, branch_maps, check_integer, check_size, density_matrix, to_pauli
+from .core import KrausPair, branch_maps, check_integer, check_seed, check_size, density_matrix, to_pauli
 from .distribution import Distribution
-from .exceptions import DegenerateJump, ParameterError
+from .exceptions import DegenerateJump
 
 DEGENERATE_TOL = 1e-14
 CHUNK = 4096
@@ -125,25 +124,15 @@ def _run_chunk(kp: KrausPair, rho0: np.ndarray, n_steps: int, seed: int, lo: int
     return np.bincount(2 * (n_steps - nb), minlength=2 * n_steps + 1)
 
 
-def _check_seed(seed) -> None:
-    """Raise ParameterError unless seed is an integer in [0, 2**64)."""
-    if isinstance(seed, bool) or not (isinstance(seed, Integral) and 0 <= seed < 2**64):
-        raise ParameterError(f"seed {seed!r} is not an integer in [0, 2**64)")
-
-
 def sample(kp: KrausPair, rho0, n_steps: int, n_traj: int, seed: int) -> SampleReport:
     """Deterministic Monte Carlo estimate of the time-n distribution.
 
     n_steps >= 0 and n_traj >= 1 are integers, not bools, or ValueError is
     raised; seed is an integer in [0, 2**64); any other raises ParameterError.
     """
-    check_integer(n_steps, "n_steps")
-    check_integer(n_traj, "n_traj")
-    if n_traj < 1:
-        raise ValueError("n_traj must be >= 1")
-    if n_steps < 0:
-        raise ValueError("n_steps must be >= 0")
-    _check_seed(seed)
+    check_integer(n_steps, "n_steps", 0)
+    check_integer(n_traj, "n_traj", 1)
+    check_seed(seed)
     rho0 = density_matrix(rho0)
     check_size(2 * n_steps + 1, "count bins")
     counts = np.zeros(2 * n_steps + 1, dtype=np.int64)

@@ -9,7 +9,7 @@ from scipy.stats import binom
 
 from oqrw import catalog, core
 from oqrw.catalog import ExampleSpec
-from oqrw.distribution import MASS_TOL, ROUNDOFF_SCALE, Distribution, compare
+from oqrw.distribution import MASS_TOL, Distribution, compare, noise_floor
 from oqrw.exceptions import ParameterError, SizeError, UnsupportedExample
 from oqrw.lattice import distribution, evolve, initial_state
 
@@ -206,7 +206,7 @@ def test_ex3_tail_form_matches_double_sum(p, gamma):
     a, b = 0.25, 0.75
     for n in (1, 2, 3, 10, 25, 60):
         d = catalog.closed_form(ExampleSpec("ex3", {"p": p, "gamma": gamma}), (a, b), n)
-        floor = ROUNDOFF_SCALE * (n + 1) * np.finfo(float).eps
+        floor = noise_floor(n)
         for i, exact in enumerate(_ex3_double_sum(p, gamma, Fraction(a), Fraction(b), n)):
             got = d.prob(2 * i - n)
             if got == 0.0:  # dropped by the roundoff floor
@@ -518,7 +518,7 @@ def test_cut_unfold_distribution_fills_the_parity_class(monkeypatch):
     for exact_law, n in ((lambda diag, n: gappy, 6), (real, 5), (real, 12)):
         monkeypatch.setattr(catalog, "cut_unfold_exact", exact_law)
         exact = exact_law((0.3, 0.7), n)
-        floor = ROUNDOFF_SCALE * (n + 1) * np.finfo(float).eps
+        floor = noise_floor(n)
         want = Distribution({x: float(v) for x, v in exact.items() if float(v) >= floor})
         assert catalog.cut_unfold_distribution((0.3, 0.7), n) == want
     assert catalog.cut_unfold_distribution((0.3, 0.7), 6) != Distribution({x: float(v) for x, v in gappy.items()})

@@ -5,7 +5,7 @@ import pytest
 
 from oqrw import cli, core
 from oqrw.core import mat2_to_json
-from oqrw.distribution import ROUNDOFF_SCALE, Distribution
+from oqrw.distribution import Distribution, noise_floor
 
 
 def _b_c_flags():
@@ -183,7 +183,7 @@ def test_dist_dual_accepts_large_n(example, capsys):
     assert cli.main(["dist", "--method", "dual", "--example", example, "--steps", str(n)]) == 0
     d = Distribution.from_csv_text(capsys.readouterr().out)
     assert d.total() == pytest.approx(1.0, abs=1e-8)
-    assert d.probs.min() >= ROUNDOFF_SCALE * (n + 1) * np.finfo(float).eps
+    assert d.probs.min() >= noise_floor(n)
 
 
 def test_clt_degenerate_is_exit_3(capsys):
@@ -294,7 +294,10 @@ def test_init_example_rejects_bad_params(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("flags", [["--steps", "4", "--seed", "-1"], ["--steps", "-3", "--seed", "1"]])
+@pytest.mark.parametrize(
+    "flags",
+    [["--steps", "4", "--seed", "-1"], ["--steps", "-3", "--seed", "1"], ["--steps", "4", "--seed", "1", "--traj", "0"]],
+)
 def test_init_example_refuses_what_dist_refuses(tmp_path, capsys, flags):
     out = tmp_path / "c.json"
     argv = ["init-example", "ex5", "--method", "trajectory", "--traj", "10", *flags, "--out", str(out)]
@@ -341,7 +344,8 @@ def test_config_validation(tmp_path, capsys):
 @pytest.mark.parametrize("field", ["steps", "seed", "traj"])
 @pytest.mark.parametrize("value", [3.9, 4.0, True, "4", [4]])
 def test_config_integer_fields_refuse_non_integers(tmp_path, capsys, field, value):
-    """A non-integer steps, seed or traj is refused with exit 2, never truncated."""
+    """A non-integer steps, seed or traj is refused with exit 2, never
+    truncated; the message names the field and the value."""
     doc = {"kraus": {"example": "ex5"}, "rho0": cli._IDENTITY_HALF, "steps": 4,
            "method": "trajectory", "seed": 7, "traj": 10}
     cfg = tmp_path / "c.json"
@@ -350,7 +354,11 @@ def test_config_integer_fields_refuse_non_integers(tmp_path, capsys, field, valu
     capsys.readouterr()
     cfg.write_text(json.dumps({**doc, field: value}))
     assert cli.main(["dist", "--config", str(cfg)]) == 2
-    assert f"{field} {value!r} is not an integer" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if field == "seed":  # core.check_seed
+        assert f"seed {value!r} is not an integer" in err
+    else:  # core.check_integer, as trajectory.sample words it
+        assert f"{field} must be an integer, got {value!r}" in err
 
 
 @pytest.mark.parametrize(

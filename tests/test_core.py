@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oqrw import catalog, core
+from oqrw import catalog, cli, core, dual, lattice, limits, trajectory
 from oqrw.exceptions import NormalizationError
 
 from conftest import make_random_pairs
@@ -189,3 +191,39 @@ def test_pauli_maps_keep_their_reference_bits():
         for K in kp:
             sandwiches = K @ core.PAULI @ K.conj().T
             assert np.array_equal(core.to_pauli(sandwiches), np.einsum("aij,...ji->...a", core.PAULI, sandwiches).real)
+
+
+_EX3, _EX5 = (catalog.build(catalog.ExampleSpec(ident)) for ident in ("ex3", "ex5"))
+_HALF = np.eye(2) / 2
+_CONFIG = {"kraus": {"example": "ex5"}, "rho0": cli._IDENTITY_HALF, "steps": 4, "method": "trajectory", "seed": 7,
+           "traj": 10}
+# every entry point that takes a whole count: (name of the count, least value, one-argument call)
+_COUNTS = {
+    "lattice.evolve": ("n", 0, lambda n: lattice.distribution(lattice.evolve(_EX5, lattice.initial_state(_HALF), n))),
+    "dual.distribution_via_dual": ("n", 0, lambda n: dual.distribution_via_dual(_EX5, _HALF, n)),
+    "dual.dual_power": ("n", 0, lambda n: dual.dual_power(_EX5, 0.3, n).tolist()),
+    "trajectory.sample.n_steps": ("n_steps", 0, lambda n: trajectory.sample(_EX5, _HALF, n, 10, 1)),
+    "trajectory.sample.n_traj": ("n_traj", 1, lambda n: trajectory.sample(_EX5, _HALF, 3, n, 1)),
+    "catalog.closed_form": ("n", 0, lambda n: catalog.closed_form(catalog.ExampleSpec("ex3"), (0.5, 0.5), n)),
+    "catalog.cut_unfold_exact": ("n", 0, lambda n: catalog.cut_unfold_exact((0.5, 0.5), n)),
+    "catalog.ex5_power_traces": ("l", 0, catalog.ex5_power_traces),
+    "limits.laplace_ratio": ("n", 0, lambda n: limits.laplace_ratio(lambda x: 1 - 0.3 * x * x, np.cos, (-1, 1), n)),
+    "limits.ex5_alpha": ("n", 1, limits.ex5_alpha),
+    "limits.drift_concentration_check": ("n", 0, lambda n: limits.drift_concentration_check(_EX3, _HALF, 0.6, n)),
+    "cli.check_config.steps": ("steps", 0, lambda n: cli.check_config({**_CONFIG, "steps": n})),
+    "cli.check_config.traj": ("traj", 1, lambda n: cli.check_config({**_CONFIG, "traj": n})),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_COUNTS))
+def test_every_count_follows_the_one_integer_rule(entry):
+    """core.check_integer guards every count: a bool, a float (integral or
+    not, NaN included) and a value below the least are refused with its
+    messages, and a numpy integer gives the result of the equal int."""
+    name, least, call = _COUNTS[entry]
+    for bad in (True, 2.0, 2.5, float("nan")):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {bad!r}")):
+            call(bad)
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be >= {least}")):
+        call(least - 1)
+    assert call(np.int64(least + 3)) == call(least + 3)

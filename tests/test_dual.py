@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oqrw import catalog, core, dual, lattice
-from oqrw.distribution import ROUNDOFF_SCALE, compare, finalize
+from oqrw.distribution import compare, finalize, noise_floor
 from oqrw.core import I2, apply_adjoint_channel, density_matrix, random_kraus_pair
 from oqrw.exceptions import ResidueError, SizeError, SumError
 
@@ -163,7 +163,7 @@ def test_half_grid_matches_full_grid(monkeypatch, rho_half):
     pairs = [catalog.build(spec) for spec in catalog.all_examples()] + make_random_pairs(3, seed=29)
     for kp in pairs:
         for n in (0, 1, 2, 7, 63, 64, 1000):
-            floor = ROUNDOFF_SCALE * (n + 1) * np.finfo(float).eps
+            floor = noise_floor(n)
             for rho0, (ref_sites, ref_p) in zip(rho0s, _full_grid_laws(kp, rho0s, n)):
                 got = dual.distribution_via_dual(kp, rho0, n)
                 lo, p = raw.pop()
@@ -516,7 +516,7 @@ def test_lattice_and_dual_report_the_same_support(seed, n, rho0):
     assert compare(lat, dua)["max_abs"] <= 1e-12
     assert np.all((dua.sites + n) % 2 == 0)  # no site of the wrong parity is formed
     # a site one engine keeps and the other floors lies within a factor 2 of the floor
-    floor = ROUNDOFF_SCALE * (n + 1) * np.finfo(float).eps
+    floor = noise_floor(n)
     for x in np.setxor1d(lat.sites, dua.sites):
         assert floor / 2 <= max(lat.prob(int(x)), dua.prob(int(x))) <= 2 * floor
 

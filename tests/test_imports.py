@@ -63,6 +63,19 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
+def test_only_core_imports_integral():
+    # the integer rule lives in core.check_integer and core.check_seed alone;
+    # a module that imports numbers.Integral is writing a check of its own
+    found = []
+    for path in sorted(Path(oqrw.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "numbers":
+                found += [path.name for alias in node.names if alias.name == "Integral"]
+            elif isinstance(node, ast.Import):
+                found += [path.name for alias in node.names if alias.name == "numbers"]
+    assert found == ["core.py"]
+
+
 def _package_imports(path: Path) -> set[str]:
     """The modules of oqrw that a module imports anywhere in its body, by their
     short names: `from . import dual`, `from .dual import x`, `import oqrw.dual`
