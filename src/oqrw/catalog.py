@@ -8,10 +8,12 @@ Five parameterized Kraus pairs are provided:
     ex4    commuting pair whose law is a mixture of two binomials
     ex5    the (1/sqrt 3) upper/lower triangular pair
 
-ex1/ex3/ex4 have exact finite-sum laws (`closed_form`). ex5 has an exact
-combinatorial evaluator (`cut_unfold_distribution`, integers over 3^n) and
-explicit dual-symbol eigenvalues (`ex5_spectrum`). These serve as oracles for
-the generic engines; the engines never call into this module.
+ex1/ex3/ex4 have exact finite-sum laws (`closed_form`), whose raw weights
+before the noise floor also give limits.drift_concentration_check its ex3
+tail. ex5 has an exact combinatorial evaluator (`cut_unfold_distribution`,
+integers over 3^n) and explicit dual-symbol eigenvalues (`ex5_spectrum`).
+These serve as oracles for the generic engines; the engines never call into
+this module or into limits (tests/test_imports.py checks both).
 """
 
 from __future__ import annotations
@@ -175,8 +177,20 @@ def closed_form(spec: ExampleSpec, rho0_diag, n: int) -> Distribution:
           lam+- = 1/2 +- 2 eps a(eps) cos(theta)
 
     ex2 and ex5 have no finite closed form here; use the lattice or dual
-    engines (or cut_unfold_distribution for ex5). The coefficients pass
-    through distribution.finalize, like the engines' laws.
+    engines (or cut_unfold_distribution for ex5). The weights of
+    _closed_form_weights pass through distribution.finalize, like the
+    engines' laws.
+    """
+    return finalize(-n, _closed_form_weights(spec, rho0_diag, n), n)
+
+
+def _closed_form_weights(spec: ExampleSpec, rho0_diag, n: int) -> np.ndarray:
+    """The n + 1 raw weights of closed_form, before the floor: entry i is the
+    mass at x = 2i - n.
+
+    ex3: a b-sector walker that jumps after R right moves ends at 2R + 2 - n
+    at any jump time j. With s = 1 - pt >= gamma^2/2 > 0, the sum over j is
+    a tail: sum_j C(j,R) pt^(j-R) qt^R = qt^R s^-(R+1) P(Binomial(n, s) > R).
     """
     par = _merged_params(spec)
     a, b = _check_diag(rho0_diag)
@@ -185,9 +199,8 @@ def closed_form(spec: ExampleSpec, rho0_diag, n: int) -> Distribution:
         raise UnsupportedExample(f"{spec.id} has no closed-form law; use the engines")
     check_size(n + 1, "closed-form coefficients")
     if n == 0:
-        return finalize(0, [1.0], 0)
+        return np.ones(1)
 
-    # Accumulate on the even sublattice: coeff[i] is the mass at x = 2i - n.
     coeff = np.zeros(n + 1)
     if spec.id == "ex1":
         coeff[0] += a
@@ -200,8 +213,14 @@ def closed_form(spec: ExampleSpec, rho0_diag, n: int) -> Distribution:
         gamma = par["gamma"]
         pt = par["p"] - gamma**2 / 2
         qt = (1.0 - par["p"]) - gamma**2 / 2
-        _ex3_accumulate(coeff, a, b, pt, qt, gamma, n)
-    return finalize(-n, coeff, n)
+        coeff[0] += a
+        s = 1.0 - pt
+        tail = np.cumsum(_binom_pmf(n, s)[::-1])[::-1]  # tail[k] = P(Binomial(n, s) >= k)
+        coeff[1:] += b * gamma**2 / s * (qt / s) ** np.arange(n) * tail[1:]
+        w = pt + qt
+        if w > 0:  # the walkers that never jump
+            coeff += (b * w**n * _binom_pmf(n, pt / w))[::-1]
+    return coeff
 
 
 def _binom_pmf(j: int, r: float) -> np.ndarray:
@@ -224,43 +243,6 @@ def _binom_pmf(j: int, r: float) -> np.ndarray:
     x[:m] = -np.cumsum(ratio[:m][::-1])[::-1]
     w = np.exp(x)
     return w / w.sum()
-
-
-def _ex3_accumulate(coeff: np.ndarray, a: float, b: float, pt: float, qt: float, gamma: float, n: int) -> None:
-    """Add the ex3 law at time n >= 1 into coeff, the mass at x = 2i - n.
-
-    A b-sector walker that jumps after R right moves ends at 2R + 2 - n at any
-    jump time j. With s = 1 - pt >= gamma^2/2 > 0, the sum over j is a tail:
-    sum_j C(j,R) pt^(j-R) qt^R = qt^R s^-(R+1) P(Binomial(n, s) > R).
-    """
-    coeff[0] += a
-    s = 1.0 - pt
-    tail = np.cumsum(_binom_pmf(n, s)[::-1])[::-1]  # tail[k] = P(Binomial(n, s) >= k)
-    coeff[1:] += b * gamma**2 / s * (qt / s) ** np.arange(n) * tail[1:]
-    w = pt + qt
-    if w > 0:  # the walkers that never jump
-        coeff += (b * w**n * _binom_pmf(n, pt / w))[::-1]
-
-
-def _recover_ex3(kp: KrausPair) -> tuple[float, float, float]:
-    """Read (pt, qt, gamma) back from an ex3-shaped pair."""
-    B, C = kp
-    ok = (
-        abs(B[0, 0] - 1.0) <= 1e-12
-        and abs(B[0, 1]) <= 1e-12
-        and abs(B[1, 0]) <= 1e-12
-        and abs(C[0, 0]) <= 1e-12
-        and abs(C[1, 0]) <= 1e-12
-        and abs(B[1, 1].imag) <= 1e-12
-        and abs(C[1, 1].imag) <= 1e-12
-        and abs(C[0, 1].imag) <= 1e-12
-        and C[0, 1].real > 0
-        and B[1, 1].real >= 0
-        and C[1, 1].real >= 0
-    )
-    if not ok:
-        raise ParameterError("pair is not of the lazy-drift (ex3) shape")
-    return float(B[1, 1].real ** 2), float(C[1, 1].real ** 2), float(C[0, 1].real)
 
 
 # -- ex5 spectrum ------------------------------------------------------------

@@ -25,8 +25,9 @@ class SumError(OqrwError):
 
 
 class ResidueError(OqrwError):
-    """An exact law failed a roundoff check: a weight lies below minus the
-    noise floor of distribution.finalize, or the dual engine's phased traces
+    """An exact law failed a roundoff check: a weight, or a lattice row's trace
+    after a block of steps, lies below minus the noise floor of
+    distribution.finalize, or the dual engine's phased traces
     break their conjugate symmetry by more than 1e-9 (a mirrored node in
     (pi/2, pi) is not the conjugate of its partner, or the value at k = 0 or
     k = pi/2 is not real)."""

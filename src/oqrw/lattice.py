@@ -15,8 +15,10 @@ polynomial (M_B^T + z M_C^T)^s, so a block is one (m, 4) @ (4, 4(s + 1))
 product and s + 1 shifted slice adds into an (m + s, 4) window. The kernels
 of 2, 4 and 8 steps are built by doubling, each the convolution of the one
 before with itself; the last block, of n mod 8 steps, takes its kernel from
-the pieces of 1, 2 and 4 steps. Rows whose trace falls below PRUNE_TRACE are
-zeroed and the window trimmed once per block, not once per step.
+the pieces of 1, 2 and 4 steps. Once per block, not once per step, a trace
+below minus the noise floor of distribution.finalize raises ResidueError,
+and rows whose trace falls below PRUNE_TRACE are zeroed and the window
+trimmed.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import KrausPair, branch_maps, check_integer, check_size, density_matrix, to_pauli
-from .distribution import Distribution, finalize
+from .distribution import Distribution, finalize, noise_floor
+from .exceptions import ResidueError
 
 PRUNE_TRACE = 1e-16
 _BLOCK = 8  # steps per block, a power of two: its kernel is built by doubling
@@ -43,11 +46,11 @@ class LatticeState:
     step_count: int
 
 
-def initial_state(rho0, site: int = 0) -> LatticeState:
-    """Single validated block rho0 at `site`, step count 0. ValueError when
-    site is not an integer."""
-    check_integer(site, "site")
-    return LatticeState(site, to_pauli(density_matrix(rho0))[np.newaxis], 0)
+def initial_state(rho0) -> LatticeState:
+    """Single validated block rho0 at the origin, step count 0. A start
+    elsewhere, or of several sites, is a LatticeState(lo, rows, 0) built by
+    the caller, who owns its lo and its rows."""
+    return LatticeState(0, to_pauli(density_matrix(rho0))[np.newaxis], 0)
 
 
 def _convolve(F: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -87,14 +90,16 @@ def _block_kernels(kp: KrausPair, n: int) -> list[np.ndarray]:
 def evolve(kp: KrausPair, s0: LatticeState, n: int) -> LatticeState:
     """n applications of the walk map.
 
-    After each block of steps, rows whose trace is below PRUNE_TRACE are
-    zeroed and the window is trimmed to the first and last rows that remain.
-    Raises SizeError before starting if the final support could exceed
+    After each block of steps, a row whose trace is below minus the noise
+    floor of distribution.finalize at the steps taken so far raises
+    ResidueError; then rows whose trace is below PRUNE_TRACE are zeroed and
+    the window is trimmed to the first and last rows that remain. Raises
+    SizeError before starting if the final support could exceed
     core.MAX_SITES sites.
     """
     check_integer(n, "n", 0)
     check_size(2 * len(s0.rows) - 1 + 2 * n, "lattice sites")
-    lo, v = s0.lo, s0.rows
+    lo, v, t = s0.lo, s0.rows, s0.step_count
     for K in _block_kernels(kp, n):
         # Row j of the new window is site lo-s+2j: K_j moves row i of v (site
         # lo+2i) to row i+j.
@@ -103,6 +108,10 @@ def evolve(kp: KrausPair, s0: LatticeState, n: int) -> LatticeState:
         w = np.zeros((m + s, 4))
         for j in range(s + 1):
             w[j : j + m] += moved[:, j]
+        t += s
+        lowest, floor = float(w[:, 0].min()), noise_floor(t)
+        if lowest < -floor:
+            raise ResidueError(f"negative trace {lowest:.3e} after step {t}, below the roundoff floor {-floor:.3e}")
         keep = w[:, 0] >= PRUNE_TRACE
         w[~keep] = 0
         first = int(keep.argmax())

@@ -28,6 +28,7 @@ from functools import cache
 
 import numpy as np
 
+from .catalog import ExampleSpec, _closed_form_weights, _ex5_gap
 from .core import (
     I2,
     KrausPair,
@@ -35,12 +36,11 @@ from .core import (
     apply_channel,
     branch_maps,
     check_integer,
-    check_size,
     density_matrix,
     from_pauli,
     to_pauli,
 )
-from .exceptions import DegenerateMax, NoInvariantState, NonUniqueInvariant
+from .exceptions import DegenerateMax, NoInvariantState, NonUniqueInvariant, ParameterError
 
 EIGENVALUE_ONE_TOL = 1e-9
 RESIDUAL_TOL = 1e-10
@@ -241,8 +241,6 @@ def ex5_alpha(n: int) -> float:
     exp(n log1p(-gap)) from the gap 1 - lambda_1 of `catalog._ex5_gap`, which
     has no cancellation, so its relative error does not grow with n.
     """
-    from .catalog import _ex5_gap
-
     check_integer(n, "n", 1)
     cut = min(np.pi / 2, 40 / math.sqrt(n))
     edges = np.concatenate(
@@ -254,28 +252,27 @@ def ex5_alpha(n: int) -> float:
     return float(2 * np.sum(half * w * np.exp(n * np.log1p(-_ex5_gap(k)))))
 
 
-def drift_concentration_check(kp: KrausPair, rho0, alpha: float, n: int) -> float:
+def drift_concentration_check(spec: ExampleSpec, rho0_diag, alpha: float, n: int) -> float:
     """Mass outside the window of radius n^alpha around the ballistic point.
 
-    Only the lazy-drift family (upper-triangular B = diag(1, sqrt(pt)),
-    C with a single off-diagonal coupling gamma) is supported: its time-n
-    distribution has an exact closed form, so the reported tail mass is exact
-    rather than truncated. The walk drifts to -n; everything at distance
-    more than 0.5 * n^alpha from -n is summed. Raises ValueError for an n
-    that is not an integer >= 0 or a NaN alpha, and SizeError before
-    allocating more than core.MAX_SITES coefficients.
+    Takes the arguments of catalog.closed_form, for the lazy-drift family ex3
+    only (any other spec raises ParameterError), and sums the tail of its raw
+    weights before the noise floor, so the reported tail mass is exact rather
+    than truncated. The walk drifts to -n; everything at distance more than
+    0.5 * n^alpha from -n is summed, and a window too wide for a float holds
+    all the mass. Raises ValueError for a NaN alpha, and the errors of
+    closed_form for a bad start, an n that is not an integer >= 0, or more
+    than core.MAX_SITES coefficients.
     """
-    from .catalog import _diag_of, _ex3_accumulate, _recover_ex3
-
-    pt, qt, gamma = _recover_ex3(kp)
-    a, b = _diag_of(rho0)
-    check_integer(n, "n", 0)
+    if spec.id != "ex3":
+        raise ParameterError(f"the drift window needs the lazy-drift family ex3, not {spec.id}")
     if np.isnan(alpha):
         raise ValueError("alpha must not be NaN")
-    check_size(n + 1, "drift-window coefficients")
+    weights = _closed_form_weights(spec, rho0_diag, n)  # mass at x = 2i - n, at distance 2i from -n
     if n == 0:
         return 0.0  # all mass sits at the ballistic point
-    coeff = np.zeros(n + 1)  # mass at x = 2i - n, at distance 2i from -n
-    _ex3_accumulate(coeff, a, b, pt, qt, gamma, n)
-    window = 0.5 * float(n) ** float(alpha)
-    return float(coeff[2 * np.arange(n + 1) > window].sum())
+    try:
+        window = 0.5 * float(n) ** float(alpha)
+    except OverflowError:
+        return 0.0
+    return float(weights[2 * np.arange(n + 1) > window].sum())

@@ -129,10 +129,12 @@ def sample(kp: KrausPair, rho0, n_steps: int, n_traj: int, seed: int) -> SampleR
 
     n_steps >= 0 and n_traj >= 1 are integers, not bools, or ValueError is
     raised; seed is an integer in [0, 2**64); any other raises ParameterError.
+    numpy integers are taken as the equal Python ints.
     """
     check_integer(n_steps, "n_steps", 0)
     check_integer(n_traj, "n_traj", 1)
     check_seed(seed)
+    n_steps, n_traj, seed = int(n_steps), int(n_traj), int(seed)  # the report holds Python ints, as JSON needs
     rho0 = density_matrix(rho0)
     check_size(2 * n_steps + 1, "count bins")
     counts = np.zeros(2 * n_steps + 1, dtype=np.int64)

@@ -202,7 +202,6 @@ def test_criterion_12_closed_forms_and_drift_concentration():
             exact = catalog.closed_form(spec, rho0, n)
             worst = max(worst, compare(exact, _lattice_law(kp, np.diag(rho0), n))["max_abs"])
     assert worst <= 1e-11
-    kp3 = catalog.build(ExampleSpec("ex3"))
-    masses = [limits.drift_concentration_check(kp3, RHO_HALF, 1.0, n) for n in (50, 100, 200)]
+    masses = [limits.drift_concentration_check(ExampleSpec("ex3"), (0.5, 0.5), 1.0, n) for n in (50, 100, 200)]
     print(f"criterion 12: closed-form gap {worst:.3e}; tail masses {masses}")
     assert masses[0] > masses[1] > masses[2]

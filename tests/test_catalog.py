@@ -84,16 +84,6 @@ def test_ex4_pair_commutes(theta):
     np.testing.assert_allclose(B @ B.conj().T, B.conj().T @ B, atol=1e-14)
 
 
-def test_recover_ex3_round_trip():
-    kp = catalog.build(ExampleSpec("ex3", {"p": 0.35, "gamma": 0.5}))
-    pt, qt, gamma = catalog._recover_ex3(kp)
-    assert pt == pytest.approx(0.35 - 0.125, abs=1e-14)
-    assert qt == pytest.approx(0.65 - 0.125, abs=1e-14)
-    assert gamma == pytest.approx(0.5, abs=1e-14)
-    with pytest.raises(ParameterError):
-        catalog._recover_ex3(catalog.build(ExampleSpec("ex5")))
-
-
 # ---- closed forms --------------------------------------------------------
 
 

@@ -193,7 +193,7 @@ def test_pauli_maps_keep_their_reference_bits():
             assert np.array_equal(core.to_pauli(sandwiches), np.einsum("aij,...ji->...a", core.PAULI, sandwiches).real)
 
 
-_EX3, _EX5 = (catalog.build(catalog.ExampleSpec(ident)) for ident in ("ex3", "ex5"))
+_EX5 = catalog.build(catalog.ExampleSpec("ex5"))
 _HALF = np.eye(2) / 2
 _CONFIG = {"kraus": {"example": "ex5"}, "rho0": cli._IDENTITY_HALF, "steps": 4, "method": "trajectory", "seed": 7,
            "traj": 10}
@@ -209,7 +209,9 @@ _COUNTS = {
     "catalog.ex5_power_traces": ("l", 0, catalog.ex5_power_traces),
     "limits.laplace_ratio": ("n", 0, lambda n: limits.laplace_ratio(lambda x: 1 - 0.3 * x * x, np.cos, (-1, 1), n)),
     "limits.ex5_alpha": ("n", 1, limits.ex5_alpha),
-    "limits.drift_concentration_check": ("n", 0, lambda n: limits.drift_concentration_check(_EX3, _HALF, 0.6, n)),
+    "limits.drift_concentration_check": (
+        "n", 0, lambda n: limits.drift_concentration_check(catalog.ExampleSpec("ex3"), (0.5, 0.5), 0.6, n)
+    ),
     "cli.check_config.steps": ("steps", 0, lambda n: cli.check_config({**_CONFIG, "steps": n})),
     "cli.check_config.traj": ("traj", 1, lambda n: cli.check_config({**_CONFIG, "traj": n})),
 }

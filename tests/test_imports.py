@@ -99,6 +99,13 @@ def test_exact_engines_do_not_import_each_other():
     assert "lattice" not in _package_imports(package / "dual.py")
 
 
+def test_engines_do_not_import_the_oracle_or_the_limit_code():
+    # catalog and limits check the engines, so no engine may use them
+    package = Path(oqrw.__file__).resolve().parent
+    for engine in ("lattice.py", "dual.py", "trajectory.py"):
+        assert not {"catalog", "limits"} & _package_imports(package / engine)
+
+
 def test_trajectory_engine_is_independent_of_the_exact_engines():
     # the sampled law checks both exact laws, so no engine may use another
     package = Path(oqrw.__file__).resolve().parent

@@ -6,7 +6,7 @@ import pytest
 from oqrw import catalog, core, lattice
 from oqrw.core import validate_kraus_pair
 from oqrw.distribution import compare
-from oqrw.exceptions import SizeError, SumError
+from oqrw.exceptions import ResidueError, SizeError, SumError
 
 from conftest import brute_force_laws, make_random_pairs
 
@@ -16,19 +16,31 @@ def hadamard_like():
 
 
 def test_initial_state_places_rho_at_site(rho_half):
-    s = lattice.initial_state(rho_half, site=3)
-    assert s.lo == 3 and s.step_count == 0
+    # initial_state starts at the origin; a start at another site is a raw
+    # LatticeState whose lo the caller owns, and evolves to the shifted law
+    s = lattice.initial_state(rho_half)
+    assert s.lo == 0 and s.step_count == 0
     assert s.rows.shape == (1, 4) and s.rows.dtype == float
     np.testing.assert_array_equal(core.from_pauli(s.rows[0]), rho_half)
+    kp = hadamard_like()
+    origin = lattice.distribution(lattice.evolve(kp, s, 9))
+    for site in (3, np.int64(-3)):
+        law = lattice.distribution(lattice.evolve(kp, lattice.LatticeState(site, s.rows, 0), 9))
+        np.testing.assert_array_equal(law.sites, origin.sites + site)
+        np.testing.assert_array_equal(law.probs, origin.probs)
 
 
-def test_initial_state_validates(rho_half):
+def test_initial_state_validates():
     with pytest.raises(ValueError):
         lattice.initial_state(np.diag([0.7, 0.7]))
-    for site in (0.5, 2.0, True):
-        with pytest.raises(ValueError, match="site must be an integer"):
-            lattice.initial_state(rho_half, site=site)
-    assert lattice.initial_state(rho_half, site=np.int64(-3)).lo == -3
+
+
+def test_negative_row_raises_instead_of_being_pruned(example_pair, rho_half):
+    # a row of trace -1e-10 leaves the mass within MASS_TOL of 1, so only the
+    # per-block check stands between it and a law
+    rows = np.stack([core.to_pauli(rho_half), -1e-10 * core.to_pauli(rho_half)])
+    with pytest.raises(ResidueError, match="negative trace"):
+        lattice.evolve(example_pair, lattice.LatticeState(0, rows, 0), 8)
 
 
 def test_single_step_splits_mass(rho_half):
@@ -158,10 +170,11 @@ def test_window_state_evolves_to_mean_of_shifted_laws(example_pair, rho_half):
     # (n = 9), and over two blocks of 8 and one of 1 (n = 17)
     rows = np.zeros((4, 4))
     rows[0] = rows[3] = core.to_pauli(rho_half) / 2
+    one = lattice.initial_state(rho_half).rows
     for n in (9, 17):
         both = lattice.distribution(lattice.evolve(example_pair, lattice.LatticeState(-3, rows, 0), n))
         laws = [
-            lattice.distribution(lattice.evolve(example_pair, lattice.initial_state(rho_half, site), n))
+            lattice.distribution(lattice.evolve(example_pair, lattice.LatticeState(site, one, 0), n))
             for site in (-3, 3)
         ]
         for x in range(-3 - n, 3 + n + 1):

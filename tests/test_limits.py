@@ -299,37 +299,65 @@ def test_ex5_alpha_requires_positive_n():
         limits.ex5_alpha(0)
 
 
+def _spec(text):
+    return catalog.parse_example_spec(text)
+
+
 def test_drift_concentration_zero_for_stuck_start():
-    kp = _pair("ex3")
-    assert limits.drift_concentration_check(kp, np.diag([1.0, 0.0]), 0.5, 40) == 0.0
-    # at n = 0 all mass sits at the start, also where pt = qt = 0
-    assert limits.drift_concentration_check(_pair("ex3:p=0.5,gamma=1.0"), np.eye(2) / 2, 0.5, 0) == 0.0
+    assert limits.drift_concentration_check(_spec("ex3"), (1.0, 0.0), 0.5, 40) == 0.0
+    # at n = 0 all mass sits at the start, also where pt = qt = 0, for every alpha
+    for alpha in (0.5, 0.0, -3.0):
+        assert limits.drift_concentration_check(_spec("ex3:p=0.5,gamma=1.0"), (0.5, 0.5), alpha, 0) == 0.0
 
 
 def test_drift_concentration_decreases():
-    kp = _pair("ex3")
-    rho = np.diag([0.5, 0.5])
-    masses = [limits.drift_concentration_check(kp, rho, 1.0, n) for n in (50, 100, 200)]
+    masses = [limits.drift_concentration_check(_spec("ex3"), (0.5, 0.5), 1.0, n) for n in (50, 100, 200)]
     assert masses[0] > masses[1] > masses[2]
 
 
+def test_drift_concentration_is_the_tail_of_the_closed_form():
+    # the tail is summed before the floor: the floored law's tail is short of
+    # it by at most the mass that closed_form drops
+    for text, ab, n in (("ex3", (0.5, 0.5), 200), ("ex3:p=0.4,gamma=0.6", (0.25, 0.75), 63),
+                        ("ex3:p=0.9,gamma=0.2", (0.0, 1.0), 1000)):
+        spec = _spec(text)
+        law = catalog.closed_form(spec, ab, n)
+        dropped = 1.0 - law.total()
+        for alpha in (0.5, 0.75, 1.0):
+            got = limits.drift_concentration_check(spec, ab, alpha, n)
+            tail = float(law.probs[law.sites + n > 0.5 * n**alpha].sum())
+            assert tail <= got <= tail + abs(dropped) + 1e-15
+
+
+def test_drift_concentration_keeps_the_exact_tail_below_the_floor():
+    # from I/2 at alpha = 1 the floored law would give 3.97e-12 at n = 200
+    # and 0 at n = 1000
+    spec = _spec("ex3")
+    assert limits.drift_concentration_check(spec, (0.5, 0.5), 1.0, 200) == pytest.approx(4.04e-12, rel=1e-2)
+    assert limits.drift_concentration_check(spec, (0.5, 0.5), 1.0, 1000) == pytest.approx(1.7e-56, rel=1e-1)
+
+
+def test_drift_concentration_window_too_wide_for_a_float_holds_all_mass():
+    # 10.0 ** 400.0 overflows a float
+    assert limits.drift_concentration_check(_spec("ex3"), (0.5, 0.5), 400.0, 10) == 0.0
+
+
 def test_drift_concentration_refuses_bad_n_and_alpha(monkeypatch):
-    kp, rho = _pair("ex3"), np.eye(2) / 2
+    spec, ab = _spec("ex3"), (0.5, 0.5)
     with pytest.raises(ValueError, match="n must be >= 0"):
-        limits.drift_concentration_check(kp, rho, 0.5, -1)
+        limits.drift_concentration_check(spec, ab, 0.5, -1)
     with pytest.raises(ValueError, match="alpha"):
-        limits.drift_concentration_check(kp, rho, float("nan"), 10)
+        limits.drift_concentration_check(spec, ab, float("nan"), 10)
     # n + 1 coefficients are checked against the bound read at call time
     monkeypatch.setattr(core, "MAX_SITES", 9)
-    limits.drift_concentration_check(kp, rho, 0.5, 8)
+    limits.drift_concentration_check(spec, ab, 0.5, 8)
     with pytest.raises(SizeError):
-        limits.drift_concentration_check(kp, rho, 0.5, 9)
+        limits.drift_concentration_check(spec, ab, 0.5, 9)
 
 
 def test_drift_concentration_rejects_wrong_shape():
+    for text in ("ex1", "ex5"):
+        with pytest.raises(ParameterError, match="ex3"):
+            limits.drift_concentration_check(_spec(text), (0.5, 0.5), 1.0, 10)
     with pytest.raises(ParameterError):
-        limits.drift_concentration_check(_pair("ex5"), np.diag([0.5, 0.5]), 1.0, 10)
-    with pytest.raises(ParameterError):
-        limits.drift_concentration_check(
-            _pair("ex3"), np.array([[0.5, 0.2], [0.2, 0.5]]), 1.0, 10
-        )
+        limits.drift_concentration_check(_spec("ex3"), (0.7, 0.7), 1.0, 10)

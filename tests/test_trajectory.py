@@ -1,4 +1,5 @@
 import hashlib
+import json
 import tracemalloc
 from dataclasses import dataclass
 
@@ -117,6 +118,13 @@ def test_sample_draws_in_step_blocks(ex5_pair, rho_half, monkeypatch):
         got = trajectory.sample(ex5_pair, rho_half, 21, 300, seed=5)
         assert got.to_json_dict() == want.to_json_dict()
         assert sum(widths) == 21 and max(widths) == block
+
+
+def test_numpy_integer_arguments_give_the_same_json(ex5_pair, rho_half):
+    # the report holds Python ints, so json.dumps takes it as it takes the ints'
+    want = json.dumps(trajectory.sample(ex5_pair, rho_half, 3, 10, 1).to_json_dict())
+    for args in ((np.int64(3), 10, 1), (3, np.int64(10), 1), (3, 10, np.uint64(1))):
+        assert json.dumps(trajectory.sample(ex5_pair, rho_half, *args).to_json_dict()) == want
 
 
 def test_seed_changes_output(ex5_pair, rho_half):
