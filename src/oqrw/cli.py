@@ -2,8 +2,10 @@
 
 Subcommands: dist, sample, clt, asym, compare, init-example. A run is
 described by a run config, serializable as a single JSON document; flags
-override config fields. Exit codes: 0 success, 2 invalid input or config,
-3 a numerical guard tripped (residue/mass checks, degenerate cases).
+override config fields. Each handler imports the engines it runs, so a
+process pays to import only those. Exit codes: 0 success, 2 invalid input
+or config, 3 a numerical guard tripped (residue/mass checks, degenerate
+cases).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import catalog, dual, lattice, limits, trajectory
+from . import catalog
 from .core import KrausPair, check_integer, check_seed, check_size, mat2_from_json, mat2_to_json, validate_kraus_pair
 from .distribution import Distribution, compare
 from .exceptions import (
@@ -110,8 +112,12 @@ def _render(dist: Distribution, fmt: str) -> str:
 def _law(method: str, pair: KrausPair, spec: catalog.ExampleSpec | None, rho0, n: int) -> Distribution:
     """The time-n law by one of the exact methods."""
     if method == "lattice":
+        from . import lattice
+
         return lattice.distribution(lattice.evolve(pair, lattice.initial_state(rho0), n))
     if method == "dual":
+        from . import dual
+
         return dual.distribution_via_dual(pair, rho0, n)
     if method == "closed_form":
         if spec is None:
@@ -140,6 +146,8 @@ def run(config: dict) -> int:
     if config["method"] == "trajectory":
         if config["seed"] is None or config["traj"] is None:
             raise ParameterError("trajectory method requires both seed and traj")
+        from . import trajectory
+
         report = trajectory.sample(pair, rho0, n, config["traj"], config["seed"])
         if out_path is not None:
             _emit(_render(report.empirical, fmt), out_path)
@@ -202,6 +210,8 @@ def _cmd_clt(args) -> int:
     if kraus is None:
         raise ParameterError("no Kraus pair given: use --example or --B/--C")
     pair, _ = _resolve_kraus(kraus)
+    from . import limits
+
     params = limits.clt_params(pair)
     doc = {
         "m": params.m,
@@ -219,6 +229,8 @@ def _cmd_asym(args) -> int:
     if args.window < 0:
         raise ParameterError(f"window {args.window} must be >= 0")
     check_size(2 * args.window + 1, "asym rows")
+    from . import dual, limits
+
     pair = catalog.build(catalog.ExampleSpec("ex5"))
     n2 = 2 * args.n
     dist = dual.distribution_via_dual(pair, np.eye(2) / 2, n2)

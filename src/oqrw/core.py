@@ -193,8 +193,12 @@ def mat2_to_json(A: np.ndarray) -> list:
 
 
 def mat2_from_json(data) -> np.ndarray:
-    """Parse the [[re, im], ...] row-major matrix format."""
-    a = np.asarray(data, dtype=float)
+    """Parse the [[re, im], ...] row-major matrix format; any other JSON value
+    (a dict, a string, None, a ragged list) raises ValueError."""
+    try:
+        a = np.asarray(data, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # a dict, a non-numeric string, an int beyond float
+        raise ValueError(f"expected a 2x2 matrix of [re, im] pairs, got {type(data).__name__}") from None
     if a.shape != (2, 2, 2):
         raise ValueError(f"expected a 2x2 matrix of [re, im] pairs, got shape {a.shape}")
     return a[..., 0] + 1j * a[..., 1]

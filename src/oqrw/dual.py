@@ -279,9 +279,11 @@ def distribution_via_dual(kp: KrausPair, rho0, n: int) -> Distribution:
 def characteristic_function(kp: KrausPair, rho0, n: int, t, scale: float = 1.0):
     """E[e^{i t X_n / scale}] from the exact distribution.
 
-    t may be a scalar or an array (the distribution is computed once).
+    t may be a scalar or an array (the distribution is computed once). scale
+    is a real number in (0, inf), or ValueError is raised before the law is
+    formed.
     """
-    if not 0 < scale < np.inf:  # NaN fails too
+    if not (isinstance(scale, (int, float, np.integer, np.floating)) and 0 < scale < np.inf):  # NaN fails too
         raise ValueError(f"scale must be positive and finite, not {scale!r}")
     d = distribution_via_dual(kp, rho0, n)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))

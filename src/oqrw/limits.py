@@ -239,10 +239,14 @@ def ex5_alpha(n: int) -> float:
     peak lies, and `ALPHA_TAIL_PANELS` panels over the rest; past 40/sqrt(n)
     the integrand is below exp(-700). lambda_1^n is formed as
     exp(n log1p(-gap)) from the gap 1 - lambda_1 of `catalog._ex5_gap`, which
-    has no cancellation, so its relative error does not grow with n.
+    has no cancellation, so its relative error does not grow with n. An n
+    beyond the largest float (about 1.8e308) raises ParameterError.
     """
     check_integer(n, "n", 1)
-    cut = min(np.pi / 2, 40 / math.sqrt(n))
+    try:
+        cut = min(np.pi / 2, 40 / math.sqrt(n))
+    except OverflowError:
+        raise ParameterError("n is too large for a float") from None
     edges = np.concatenate(
         [np.linspace(0, cut, ALPHA_PEAK_PANELS + 1), np.linspace(cut, np.pi / 2, ALPHA_TAIL_PANELS + 1)[1:]]
     )
@@ -260,19 +264,26 @@ def drift_concentration_check(spec: ExampleSpec, rho0_diag, alpha: float, n: int
     weights before the noise floor, so the reported tail mass is exact rather
     than truncated. The walk drifts to -n; everything at distance more than
     0.5 * n^alpha from -n is summed, and a window too wide for a float holds
-    all the mass. Raises ValueError for a NaN alpha, and the errors of
-    closed_form for a bad start, an n that is not an integer >= 0, or more
-    than core.MAX_SITES coefficients.
+    all the mass. Raises ParameterError for an alpha that is not a real
+    number a float holds (a string, None or a complex), ValueError for a NaN
+    alpha, and the errors of closed_form for a bad start, an n that is not an
+    integer >= 0, or more than core.MAX_SITES coefficients.
     """
     if spec.id != "ex3":
         raise ParameterError(f"the drift window needs the lazy-drift family ex3, not {spec.id}")
+    if not isinstance(alpha, (int, float, np.integer, np.floating)):
+        raise ParameterError(f"alpha must be a real number, not {alpha!r}")
+    try:
+        alpha = float(alpha)
+    except OverflowError:
+        raise ParameterError("alpha is too large for a float") from None
     if np.isnan(alpha):
         raise ValueError("alpha must not be NaN")
     weights = _closed_form_weights(spec, rho0_diag, n)  # mass at x = 2i - n, at distance 2i from -n
     if n == 0:
         return 0.0  # all mass sits at the ballistic point
     try:
-        window = 0.5 * float(n) ** float(alpha)
+        window = 0.5 * float(n) ** alpha
     except OverflowError:
         return 0.0
     return float(weights[2 * np.arange(n + 1) > window].sum())

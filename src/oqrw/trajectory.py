@@ -9,18 +9,19 @@ trace.
 Randomness is counter-based: trajectory i consumes the stream of Philox with
 the 128-bit key [seed, i] (two uint64 words, seed in [0, 2**64)), counter 0,
 so results are reproducible bit for bit regardless of how the trajectories are
-split into chunks. A stream depends on its key alone, so each chunk builds one
-Philox generator and re-keys it per trajectory through the public
+split into chunks. The doubles are those of Generator.random on that stream.
+A stream depends on its key alone, so each block of draws builds one Philox
+bit generator and re-keys it per trajectory through the public
 `BitGenerator.state` setter instead of constructing a generator per
-trajectory.
+trajectory, then forms the doubles from its raw 64-bit words.
 
 A chunk draws its uniforms STEP_BLOCK steps at a time, step-major so that
 step t reads one contiguous row, and holds its states coordinate-major, shape
 (4, m), so that every per-step array is a contiguous row of length m. A block
-costs one re-key per trajectory, about 2.5 us: at 256 steps that is 10 ns per
-trajectory-step, against 38 ns (512 trajectories) and 26 ns (4096) for a step
-of the kernel (x86-64, numpy 2.4). A full chunk then holds at most 8 MiB of
-draws.
+costs one re-key per trajectory, about 0.5 us, and 4096 trajectories x 256
+steps of draws take about 15 ms, 14 ns per trajectory-step, against 38 ns
+(512 trajectories) and 26 ns (4096) for a step of the kernel (x86-64, 2 CPUs,
+numpy 2.4). A full chunk then holds at most 8 MiB of draws.
 """
 
 from __future__ import annotations
@@ -68,27 +69,31 @@ def _uniforms(seed: int, lo: int, hi: int, n_steps: int, start: int = 0) -> np.n
     the stream of trajectory lo + i, so row t is step start + t of every
     trajectory; start is a multiple of 4.
 
-    One Philox generator is re-keyed per trajectory: key [seed, lo + i],
+    One Philox bit generator is re-keyed per trajectory: key [seed, lo + i],
     counter start / 4 and an empty buffer. A Philox block is four doubles, so
     at start 0 this is the state of a fresh Philox(key=[seed, lo + i]) and at
-    start 4c it is that state after 4c draws. The streams are drawn into the
-    rows of a tile of _DRAW_TILE trajectories, which is then transposed into
-    the block, so no second copy of the block is made.
+    start 4c it is that state after 4c draws. The state is one dict of Python
+    ints, built once, whose key[1] is rewritten per trajectory: the setter
+    reads every entry, and a Python int is cheaper to read than the numpy
+    scalars that the getter returns. Each stream's raw 64-bit words fill a row
+    of a tile of _DRAW_TILE trajectories, and the tile becomes doubles in the
+    block by (raw >> 11) * 2**-53, which is how Generator.random forms a
+    float64, so no second copy of the block is made.
     """
-    # a uint64 key: from a list numpy rounds a seed >= 2**63 through float64
-    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64), counter=[start // 4, 0, 0, 0])
-    gen = np.random.Generator(bitgen)
-    state = bitgen.state
-    key = state["state"]["key"]
+    bitgen = np.random.Philox(key=0)  # keyed per trajectory below
+    key = [seed, 0]
+    state = {"bit_generator": "Philox", "state": {"counter": [start // 4, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     u = np.empty((n_steps, hi - lo))
-    tile = np.empty((min(_DRAW_TILE, hi - lo), n_steps))
+    tile = np.empty((min(_DRAW_TILE, hi - lo), n_steps), dtype=np.uint64)
     for j in range(0, hi - lo, _DRAW_TILE):
         rows = tile[: min(_DRAW_TILE, hi - lo - j)]
         for i, row in enumerate(rows, lo + j):
             key[1] = i
             bitgen.state = state
-            gen.random(n_steps, out=row)
-        u[:, j : j + len(rows)] = rows.T
+            row[:] = bitgen.random_raw(n_steps)
+        rows >>= 11
+        np.multiply(rows.T, 2.0**-53, out=u[:, j : j + len(rows)])
     return u
 
 

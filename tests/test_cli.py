@@ -389,6 +389,13 @@ def test_compare_refuses_non_finite_weights(tmp_path, capsys):
         assert captured.err.startswith("error:") and "Traceback" not in captured.err
 
 
+def test_rho0_that_is_not_a_matrix_is_refused_by_the_parser(capsys):
+    assert cli.main(["dist", "--example", "ex5", "--steps", "3", "--rho0", '{"a": 1}']) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: expected a 2x2 matrix of [re, im] pairs")
+
+
 def test_asym_refuses_a_negative_window(capsys):
     assert cli.main(["asym", "--n", "5", "--window", "-2"]) == 2
     captured = capsys.readouterr()
@@ -398,7 +405,7 @@ def test_asym_refuses_a_negative_window(capsys):
 
 @pytest.mark.parametrize("n", ["0", "-5"])
 def test_asym_refuses_n_below_one_before_any_engine(monkeypatch, capsys, n):
-    monkeypatch.setattr(cli.dual, "distribution_via_dual", None)
+    monkeypatch.setattr("oqrw.dual.distribution_via_dual", None)
     assert cli.main(["asym", "--n", n, "--window", "3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -407,7 +414,7 @@ def test_asym_refuses_n_below_one_before_any_engine(monkeypatch, capsys, n):
 
 def test_asym_refuses_a_window_beyond_the_size_guard(monkeypatch, capsys):
     # refused before the law or any row is formed
-    monkeypatch.setattr(cli.dual, "distribution_via_dual", None)
+    monkeypatch.setattr("oqrw.dual.distribution_via_dual", None)
     assert cli.main(["asym", "--n", "5", "--window", str(10**9)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -172,6 +172,13 @@ def test_matrix_json_rejects_bad_shape():
         core.mat2_from_json([[1.0, 2.0], [3.0, 4.0]])
 
 
+@pytest.mark.parametrize("data", [{"a": 1}, "abc", None, [[[0, 0], [0, 0]], [[0, 0], {"a": 1}]]])
+def test_matrix_json_refuses_any_other_json_value(data):
+    # refused by the parser itself, not by numpy's TypeError
+    with pytest.raises(ValueError, match=re.escape("expected a 2x2 matrix of [re, im] pairs")):
+        core.mat2_from_json(data)
+
+
 def test_kraus_pair_unpacks():
     kp = core.validate_kraus_pair(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
     B, C = kp

@@ -536,6 +536,13 @@ def test_characteristic_function_scalar_and_array(ex5_pair, rho_half):
             dual.characteristic_function(ex5_pair, rho_half, 4, 1.0, scale=scale)
 
 
+def test_characteristic_function_refuses_a_scale_that_is_not_real(ex5_pair, rho_half, monkeypatch):
+    # refused before any law is formed
+    monkeypatch.setattr(dual, "distribution_via_dual", None)
+    with pytest.raises(ValueError, match="scale"):
+        dual.characteristic_function(ex5_pair, rho_half, 4, 1.0, scale="a")
+
+
 def test_characteristic_function_matches_direct_sum(ex5_pair, rho_half):
     d = dual.distribution_via_dual(ex5_pair, rho_half, 12)
     t = 0.8

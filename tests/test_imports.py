@@ -28,6 +28,32 @@ def test_cli_import_leaves_scipy_unloaded():
     assert _run(code).splitlines()[-1] == "[]"
 
 
+def test_cli_imports_only_the_engines_a_subcommand_runs(tmp_path):
+    # a cold `oqrw` process pays to import the engines its subcommand runs,
+    # and no other
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("x,p\n0,1.0\n")
+    b.write_text("x,p\n0,1.0\n")
+    engines = "('dual', 'lattice', 'limits', 'trajectory')"
+    loaded = f"[e for e in {engines} if 'oqrw.' + e in sys.modules]"
+    code = (
+        "import sys\n"
+        "from oqrw import cli\n"
+        f"print({loaded})\n"
+        f"assert cli.main(['compare', {str(a)!r}, {str(b)!r}]) == 0\n"
+        f"print({loaded})\n"
+    )
+    lines = _run(code).splitlines()  # the compare report lies between
+    assert (lines[0], lines[-1]) == ("[]", "[]")
+    code = (
+        "import sys\n"
+        "from oqrw import cli\n"
+        "assert cli.main(['sample', '--example', 'ex5', '--steps', '3', '--traj', '5', '--seed', '1']) == 0\n"
+        f"print({loaded})"
+    )
+    assert _run(code).splitlines()[-1] == "['trajectory']"
+
+
 def test_closed_form_leaves_scipy_stats_unloaded():
     # the closed-form binomials are formed with numpy, not scipy.stats
     code = (

@@ -294,6 +294,12 @@ def test_ex5_alpha_stays_on_the_asymptote_at_huge_n(n):
     assert abs(limits.ex5_alpha(n) / math.sqrt(9 * math.pi / (4 * n)) - 1) <= max(1 / n, 1e-15)
 
 
+def test_ex5_alpha_refuses_an_n_beyond_a_float():
+    with pytest.raises(ParameterError, match="too large for a float"):
+        limits.ex5_alpha(10**400)
+    assert limits.ex5_alpha(600).hex() == "0x1.bc5adad832d03p-4"  # as before the guard
+
+
 def test_ex5_alpha_requires_positive_n():
     with pytest.raises(ValueError):
         limits.ex5_alpha(0)
@@ -353,6 +359,12 @@ def test_drift_concentration_refuses_bad_n_and_alpha(monkeypatch):
     limits.drift_concentration_check(spec, ab, 0.5, 8)
     with pytest.raises(SizeError):
         limits.drift_concentration_check(spec, ab, 0.5, 9)
+
+
+@pytest.mark.parametrize("alpha", ["1", None, 1 + 0j])
+def test_drift_concentration_refuses_an_alpha_that_is_not_real(alpha):
+    with pytest.raises(ParameterError, match="alpha must be a real number"):
+        limits.drift_concentration_check(_spec("ex3"), (0.5, 0.5), alpha, 10)
 
 
 def test_drift_concentration_rejects_wrong_shape():

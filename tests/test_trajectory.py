@@ -227,6 +227,19 @@ def test_draws_from_a_later_step_continue_the_stream(start):
     np.testing.assert_array_equal(trajectory._uniforms(2**63 + 5, 4093, 4100, n, start=start), full[:, start:].T)
 
 
+@pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
+@pytest.mark.parametrize("start", [0, 256])
+def test_draws_are_generator_random_on_each_key(seed, start):
+    # the draws are formed from raw Philox words, not by Generator.random;
+    # column i must still be Generator(Philox(key=[seed, i])).random(start +
+    # n)[start:] bit for bit, for widths below, at and above one tile and for
+    # a full chunk; n = 21 is not a multiple of the four words of a block
+    n, lo = 21, 4093
+    for width in (1, 63, 64, 65, 4096):
+        full = _fresh_stream_rows(seed, lo, lo + width, start + n)
+        np.testing.assert_array_equal(trajectory._uniforms(seed, lo, lo + width, n, start), full[:, start:].T)
+
+
 def test_seeds_above_2_63_keep_their_own_stream():
     a = trajectory._uniforms(2**63 + 5, 0, 4, 8)
     b = trajectory._uniforms(2**63 + 6, 0, 4, 8)
