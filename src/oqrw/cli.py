@@ -3,9 +3,9 @@
 Subcommands: dist, sample, clt, asym, compare, init-example. A run is
 described by a run config, serializable as a single JSON document; flags
 override config fields. Each handler imports the engines it runs, so a
-process pays to import only those. Exit codes: 0 success, 2 invalid input
-or config, 3 a numerical guard tripped (residue/mass checks, degenerate
-cases).
+process pays to import only those. Exit codes, by the rule of
+oqrw.exceptions: 0 success, 2 refused input (a ValueError), 3 a numerical
+guard tripped (any other OqrwError).
 """
 
 from __future__ import annotations
@@ -19,13 +19,7 @@ import numpy as np
 from . import catalog
 from .core import KrausPair, check_integer, check_seed, check_size, mat2_from_json, mat2_to_json, validate_kraus_pair
 from .distribution import Distribution, compare
-from .exceptions import (
-    NormalizationError,
-    OqrwError,
-    ParameterError,
-    SizeError,
-    UnsupportedExample,
-)
+from .exceptions import OqrwError, ParameterError
 
 METHODS = ("lattice", "dual", "trajectory", "closed_form", "cut_unfold", "both")
 FORMATS = ("csv", "json")
@@ -36,10 +30,10 @@ _IDENTITY_HALF = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
 def check_config(data) -> dict:
     """The run config held by a JSON object, checked: a dict of the fields
     kraus, rho0, steps, method, seed, traj and output in that order, with
-    None for an absent optional field. steps >= 0 and traj >= 1 are checked
-    by core.check_integer (ValueError, for a bool or 3.0 too) and seed by
-    core.check_seed, as trajectory.sample checks them; ParameterError for
-    anything else."""
+    None for an absent optional field. Every refusal is a ValueError (exit
+    code 2): steps >= 0 and traj >= 1 are checked by core.check_integer
+    (the builtin, for a bool or 3.0 too) and seed by core.check_seed, as
+    trajectory.sample checks them; ParameterError for anything else."""
     if not isinstance(data, dict):
         raise ParameterError("config must be a JSON object")
     fields = ("kraus", "rho0", "steps", "method", "seed", "traj", "output")
@@ -323,8 +317,7 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         return args.func(args)
-    except (ParameterError, NormalizationError, UnsupportedExample, SizeError,
-            ValueError, KeyError, TypeError, OSError) as exc:  # json.JSONDecodeError is a ValueError
+    except (ValueError, OSError) as exc:  # ParameterError and json.JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OqrwError as exc:

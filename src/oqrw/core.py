@@ -61,12 +61,15 @@ def check_seed(seed) -> None:
 
 
 def as_mat2(a) -> np.ndarray:
-    """Coerce to a complex (2, 2) array and require finite entries."""
+    """Coerce to a complex (2, 2) array and require finite entries of modulus
+    at most 1e150, so that no product of two entries overflows: a density
+    matrix or a Kraus operator has none above 1."""
     m = np.asarray(a, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite")
+    if not np.abs(m).max() <= 1e150:  # NaN fails too
+        finite = np.isfinite(m).all()
+        raise ValueError("matrix entries must be at most 1e150 in modulus" if finite else "matrix entries must be finite")
     return m
 
 
@@ -194,11 +197,16 @@ def mat2_to_json(A: np.ndarray) -> list:
 
 def mat2_from_json(data) -> np.ndarray:
     """Parse the [[re, im], ...] row-major matrix format; any other JSON value
-    (a dict, a string, None, a ragged list) raises ValueError."""
+    (a dict, a string, None, a ragged list, a true or false entry, an
+    infinite part) raises ValueError."""
     try:
         a = np.asarray(data, dtype=float)
     except (TypeError, ValueError, OverflowError):  # a dict, a non-numeric string, an int beyond float
         raise ValueError(f"expected a 2x2 matrix of [re, im] pairs, got {type(data).__name__}") from None
     if a.shape != (2, 2, 2):
         raise ValueError(f"expected a 2x2 matrix of [re, im] pairs, got shape {a.shape}")
+    if any(isinstance(v, (bool, np.bool_)) for v in np.asarray(data, dtype=object).flat):
+        raise ValueError("expected a 2x2 matrix of [re, im] pairs, got a bool entry")
+    if not np.isfinite(a).all():  # before 1j * inf makes a NaN
+        raise ValueError("matrix entries must be finite")
     return a[..., 0] + 1j * a[..., 1]

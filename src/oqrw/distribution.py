@@ -58,11 +58,17 @@ class Distribution:
         return float(self.probs.sum())
 
     def mean(self) -> float:
-        return float(self.sites @ self.probs)
+        """Sum of x p_x over the total, so that mass dropped by a noise floor
+        does not pull the mean towards 0; ValueError for a law of total 0."""
+        total = self.total()
+        if not total > 0:
+            raise ValueError("a law of total mass 0 has no mean")
+        return float(self.sites @ self.probs) / total
 
     def variance(self) -> float:
-        m = self.mean()
-        return float((self.sites.astype(float) ** 2) @ self.probs) - m * m
+        """Sum of (x - mean)^2 p_x over the total."""
+        dev = self.sites - self.mean()
+        return float((dev * dev) @ self.probs) / self.total()
 
     def __eq__(self, other):
         if not isinstance(other, Distribution):

@@ -1,11 +1,19 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the rule that sets the
+command line's exit code: any refusal of the caller's input is a ValueError,
+the builtin or ParameterError and its subclasses (exit 2); every other
+OqrwError is a numerical guard that tripped (exit 3)."""
 
 
 class OqrwError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NormalizationError(OqrwError):
+class ParameterError(OqrwError, ValueError):
+    """The caller's input was refused: a parameter, config field or argument
+    outside its admissible range."""
+
+
+class NormalizationError(ParameterError):
     """Kraus pair violates B*B + C*C = I.
 
     Carries the max-norm deviation in ``defect``.
@@ -49,13 +57,9 @@ class DegenerateMax(OqrwError):
     """|f| does not have an isolated maximum on the sampling grid."""
 
 
-class ParameterError(OqrwError):
-    """Example parameters violate their admissible range."""
-
-
-class UnsupportedExample(OqrwError):
+class UnsupportedExample(ParameterError):
     """The requested operation has no closed form for this example."""
 
 
-class SizeError(OqrwError):
+class SizeError(ParameterError):
     """Requested computation exceeds a hard resource guard."""

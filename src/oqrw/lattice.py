@@ -95,10 +95,13 @@ def evolve(kp: KrausPair, s0: LatticeState, n: int) -> LatticeState:
     ResidueError; then rows whose trace is below PRUNE_TRACE are zeroed and
     the window is trimmed to the first and last rows that remain. Raises
     SizeError before starting if the final support could exceed
-    core.MAX_SITES sites.
+    core.MAX_SITES sites, and ValueError before any step if a start row is
+    not finite.
     """
     check_integer(n, "n", 0)
     check_size(2 * len(s0.rows) - 1 + 2 * n, "lattice sites")
+    if not np.isfinite(s0.rows).all():
+        raise ValueError("the start rows hold a value that is not finite")
     lo, v, t = s0.lo, s0.rows, s0.step_count
     for K in _block_kernels(kp, n):
         # Row j of the new window is site lo-s+2j: K_j moves row i of v (site

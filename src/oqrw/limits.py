@@ -181,7 +181,9 @@ def laplace_ratio(f, g, interval: tuple[float, float], n: int) -> float:
     that maximizer is unique in the closed interval. The integrand is
     evaluated on a fixed grid of 2^14 panels; a plateau of near-maximal |f|
     values wider than a few grid points raises DegenerateMax since the limit
-    is then a weighted average, not a point value.
+    is then a weighted average, not a point value. f and g are called on the
+    grid; a scalar result stands for that value at every point, and complex
+    or non-finite values raise ValueError.
     """
     lo, hi = map(float, interval)
     if not np.isfinite([lo, hi]).all():
@@ -190,12 +192,7 @@ def laplace_ratio(f, g, interval: tuple[float, float], n: int) -> float:
         raise ValueError("interval must satisfy lo < hi")
     check_integer(n, "n", 0)
     x = np.linspace(lo, hi, SIMPSON_PANELS + 1)
-    fx = np.asarray(f(x), dtype=float)
-    gx = np.asarray(g(x), dtype=float)
-    if not np.isfinite(fx).all():
-        raise ValueError("f is not finite on the grid")
-    if not np.isfinite(gx).all():
-        raise ValueError("g is not finite on the grid")
+    fx, gx = _on_grid(f, x, "f"), _on_grid(g, x, "g")
     mag = np.abs(fx)
     peak = mag.max()
     if peak == 0:
@@ -214,6 +211,23 @@ def laplace_ratio(f, g, interval: tuple[float, float], n: int) -> float:
     if denom == 0:
         raise DegenerateMax("integral of f^n vanishes on the grid")
     return float(np.sum(w * fn * gx)) / denom
+
+
+def _on_grid(h, x: np.ndarray, name: str) -> np.ndarray:
+    """h(x) as real floats on the grid, a scalar broadcast to every point;
+    ValueError for complex values, a shape that does not broadcast to the
+    grid's, or a value that is not finite."""
+    hx = np.asarray(h(x))
+    if np.iscomplexobj(hx):
+        raise ValueError(f"{name} has complex values on the grid")
+    try:
+        hx = np.broadcast_to(hx, x.shape)
+    except ValueError:
+        raise ValueError(f"{name} has shape {hx.shape}, which does not broadcast to the grid's {x.shape}") from None
+    hx = np.asarray(hx, dtype=float)
+    if not np.isfinite(hx).all():
+        raise ValueError(f"{name} is not finite on the grid")
+    return hx
 
 
 @cache
@@ -253,7 +267,9 @@ def ex5_alpha(n: int) -> float:
     t, w = _gauss_legendre(ALPHA_GAUSS_NODES)
     half = np.diff(edges)[:, None] / 2
     k = (edges[:-1, None] + half) + half * t
-    return float(2 * np.sum(half * w * np.exp(n * np.log1p(-_ex5_gap(k)))))
+    with np.errstate(over="ignore"):  # near the largest float n overflows the tail's exponent to -inf, a weight of 0
+        power = np.exp(n * np.log1p(-_ex5_gap(k)))
+    return float(2 * np.sum(half * w * power))
 
 
 def drift_concentration_check(spec: ExampleSpec, rho0_diag, alpha: float, n: int) -> float:

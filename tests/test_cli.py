@@ -429,3 +429,49 @@ def test_kraus_example_with_extra_keys_rejected():
         cli._resolve_kraus({"example": "ex5", "B": []})
     with pytest.raises(ParameterError):
         cli._resolve_kraus({"B": []})
+
+
+def test_bool_matrix_entry_is_exit_2(capsys):
+    r = "0.7071067811865476"
+    B = f"[[[true,0],[0,0]],[[0,0],[{r},0]]]"
+    C = f"[[[0,0],[0,0]],[[0,0],[{r},0]]]"
+    assert cli.main(["dist", "--B", B, "--C", C, "--steps", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: expected a 2x2 matrix of [re, im] pairs, got a bool entry\n"
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_exit_code_follows_the_exception_hierarchy(monkeypatch, capsys):
+    # a refusal of input is a ValueError (exit 2); any other OqrwError is a
+    # numerical guard (exit 3); a new class must take one side or the other
+    from oqrw import exceptions
+
+    classes = set(_subclasses(exceptions.OqrwError))
+    refusals = {c.__name__ for c in classes if issubclass(c, ValueError)}
+    assert refusals == {"ParameterError", "NormalizationError", "UnsupportedExample", "SizeError"}
+    for cls in classes | {exceptions.OqrwError, ValueError, OSError}:
+        def handler(args, cls=cls):
+            raise cls(1.0)
+
+        monkeypatch.setattr(cli, "_cmd_clt", handler)
+        code = cli.main(["clt", "--example", "ex5"])
+        assert code == (2 if issubclass(cls, (ValueError, OSError)) else 3), cls
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cls", [KeyError, TypeError])
+def test_a_fault_inside_a_handler_is_not_reported_as_bad_input(monkeypatch, capsys, cls):
+    def handler(args):
+        raise cls("a programming error")
+
+    monkeypatch.setattr(cli, "_cmd_clt", handler)
+    with pytest.raises(cls):
+        cli.main(["clt", "--example", "ex5"])
+    assert capsys.readouterr().err == ""

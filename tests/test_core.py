@@ -88,6 +88,26 @@ def test_as_mat2_takes_a_transposed_complex_matrix():
         core.as_mat2(np.array([[1, np.inf * 1j], [0, 1]]).T)
 
 
+@pytest.mark.parametrize("big", [1.7e308 + 1.7e308j, 1.3e154, 2e150])
+def test_entries_too_large_for_the_checks_are_refused(big):
+    # near the largest float the checks' own arithmetic overflows: a
+    # Hermitian rho with such an entry made a NaN eigenvalue and passed
+    with pytest.raises(ValueError, match="at most 1e150"):
+        core.density_matrix([[0.5, big], [np.conj(big), 0.5]])
+    with pytest.raises(ValueError, match="at most 1e150"):
+        core.validate_kraus_pair(np.zeros((2, 2)), np.diag([0.0, big]))
+    assert core.as_mat2(np.diag([0.5, 1e150]))[1, 1] == 1e150
+
+
+def test_matrix_json_refuses_an_infinite_part():
+    # 1e400 in JSON is inf; 1j * inf would make a NaN real part
+    for part in (0, 1):
+        data = [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]
+        data[1][1][part] = float("inf")
+        with pytest.raises(ValueError, match="must be finite"):
+            core.mat2_from_json(data)
+
+
 def _random_hermitian(rng):
     A = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     return A + A.conj().T
@@ -176,6 +196,14 @@ def test_matrix_json_rejects_bad_shape():
 def test_matrix_json_refuses_any_other_json_value(data):
     # refused by the parser itself, not by numpy's TypeError
     with pytest.raises(ValueError, match=re.escape("expected a 2x2 matrix of [re, im] pairs")):
+        core.mat2_from_json(data)
+
+
+@pytest.mark.parametrize("entry", [True, False])
+def test_matrix_json_refuses_a_bool_entry(entry):
+    # JSON true and false are not numbers here, as the integer rule refuses bools
+    data = [[[entry, 0], [0, 0]], [[0, 0], [0.5, 0]]]
+    with pytest.raises(ValueError, match="got a bool entry"):
         core.mat2_from_json(data)
 
 

@@ -122,6 +122,21 @@ def test_mean_variance():
     assert skewed.variance() == 0.75  # E[x^2] - mean^2 = 3 - 2.25
 
 
+def test_moments_of_a_law_below_total_one_are_normalised():
+    # an exact law whose noise floor dropped mass keeps its mean and variance
+    half = Distribution(([0, 2], [0.25, 0.25]))
+    assert half.mean() == 1.0
+    assert half.variance() == 1.0
+    with pytest.raises(ValueError, match="total mass 0"):
+        Distribution({}).mean()
+
+
+def test_variance_is_taken_about_the_mean():
+    # far from the origin, E[x^2] - mean^2 loses every digit of a variance of 1/4
+    far = Distribution({10**9: 0.5, 10**9 + 1: 0.5})
+    assert far.variance() == 0.25
+
+
 def test_csv_round_trip(tmp_path):
     d = Distribution({-2: 1 / 3, 0: 1 / 7, 2: 11 / 21})
     path = tmp_path / "d.csv"

@@ -137,6 +137,15 @@ def test_evolve_rejects_negative_and_oversize(rho_half, monkeypatch):
         lattice.evolve(kp, s, 5)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_evolve_refuses_start_rows_that_are_not_finite(bad):
+    # NaN passes the negative-trace test and fails the prune test: unchecked,
+    # the row would be zeroed unseen and only a later distribution call raise
+    rows = np.array([[1.0, 0, 0, 0], [bad, 0, 0, 0]])
+    with pytest.raises(ValueError, match="not finite"):
+        lattice.evolve(catalog.build(catalog.ExampleSpec("ex5")), lattice.LatticeState(0, rows, 0), 8)
+
+
 def test_distribution_guards_mass_loss(rho_half):
     # a pair that leaks mass must be caught at the distribution boundary
     rows = np.array([[0.8, 0, 0, 0]])

@@ -225,6 +225,28 @@ def test_laplace_ratio_rejects_plateau():
         limits.laplace_ratio(np.ones_like, lambda x: x, (0.0, 1.0), 4)
 
 
+def test_laplace_ratio_refuses_complex_values():
+    with pytest.raises(ValueError, match="f has complex values"):
+        limits.laplace_ratio(lambda x: np.cos(x) + 0.1j * x, np.cos, (-1.0, 1.0), 10)
+    with pytest.raises(ValueError, match="g has complex values"):
+        limits.laplace_ratio(np.cos, lambda x: 1j * x, (-1.0, 1.0), 10)
+
+
+def test_laplace_ratio_broadcasts_a_scalar_result():
+    # a constant f is a plateau whether it comes as a scalar or as an array
+    for f in (lambda x: 1.0, np.ones_like):
+        with pytest.raises(DegenerateMax):
+            limits.laplace_ratio(f, lambda x: x, (0.0, 1.0), 4)
+    assert limits.laplace_ratio(np.cos, lambda x: 2.5, (-1.0, 1.0), 7) == pytest.approx(2.5, abs=1e-14)
+
+
+def test_laplace_ratio_refuses_a_shape_that_does_not_broadcast():
+    with pytest.raises(ValueError, match="does not broadcast"):
+        limits.laplace_ratio(lambda x: np.ones(3), np.cos, (-1.0, 1.0), 4)
+    with pytest.raises(ValueError, match="does not broadcast"):
+        limits.laplace_ratio(np.cos, lambda x: np.stack([x, x]), (-1.0, 1.0), 4)
+
+
 def test_laplace_ratio_rejects_zero_f():
     with pytest.raises(DegenerateMax):
         limits.laplace_ratio(np.zeros_like, lambda x: x, (0.0, 1.0), 2)
@@ -267,6 +289,14 @@ def test_ex5_alpha_matches_sqrt_decay():
     # alpha_n ~ sqrt(2 pi / (n * 8/9)) = sqrt(9 pi / (4 n))
     n = 400
     assert limits.ex5_alpha(n) == pytest.approx(math.sqrt(9 * math.pi / (4 * n)), rel=0.01)
+
+
+def test_ex5_alpha_near_the_largest_float_gives_no_warning():
+    # the tail's exponent overflows to -inf there, which is a weight of 0;
+    # the setting of the test suite turns any warning into an error
+    assert limits.ex5_alpha(2**1023) == pytest.approx(math.sqrt(9 * math.pi / (4 * 2.0**1023)), rel=1e-12)
+    bits = {10: "0x1.a1978602c60bep-1", 600: "0x1.bc5adad832d03p-4", 10**6: "0x1.5c7a7f02f206ep-9"}
+    assert {n: limits.ex5_alpha(n).hex() for n in bits} == bits
 
 
 @pytest.mark.parametrize("n", [1, 2, 8, 32, 128, 600, 4000, 100000])
