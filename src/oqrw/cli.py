@@ -182,12 +182,14 @@ def _config_from_args(args) -> dict:
             base[key] = getattr(args, key)
     base.setdefault("method", "lattice")
     if args.out is not None or args.format is not None:
-        output = dict(base.get("output") or {})
-        if args.out is not None:
-            output["path"] = args.out
-        if args.format is not None:
-            output["format"] = args.format
-        base["output"] = output
+        output = base.get("output")
+        if output is None or isinstance(output, dict):  # check_config refuses any other value
+            output = dict(output or {})
+            if args.out is not None:
+                output["path"] = args.out
+            if args.format is not None:
+                output["format"] = args.format
+            base["output"] = output
     if "kraus" not in base:
         raise ParameterError("no Kraus pair given: use --example, --B/--C, or --config")
     if "steps" not in base:

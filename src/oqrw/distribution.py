@@ -30,7 +30,10 @@ class Distribution:
     def __init__(self, mapping):
         """mapping is a dict {site: weight} or a pair (sites, weights)."""
         sites, probs = (list(mapping), list(mapping.values())) if isinstance(mapping, dict) else mapping
-        sites = np.array(sites, dtype=np.int64)  # copies: the caller's arrays stay the caller's
+        try:
+            sites = np.array(sites, dtype=np.int64)  # copies: the caller's arrays stay the caller's
+        except OverflowError:
+            raise ValueError("sites must lie in the int64 range") from None
         probs = np.array(probs, dtype=float)
         if sites.ndim != 1 or probs.ndim != 1:
             raise ValueError(f"sites and probabilities must be 1-D, not of shapes {sites.shape} and {probs.shape}")

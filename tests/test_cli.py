@@ -389,6 +389,34 @@ def test_compare_refuses_non_finite_weights(tmp_path, capsys):
         assert captured.err.startswith("error:") and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("output", [1, [1], [["format", "json"]], False])
+@pytest.mark.parametrize("flag", ["--out", "--format"])
+def test_config_output_that_is_not_an_object_is_refused_before_the_flags_merge(tmp_path, capsys, output, flag):
+    """--out and --format merge into the config's output field only when
+    that field is an object or absent, the form check_config requires."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"kraus": {"example": "ex5"}, "rho0": cli._IDENTITY_HALF, "steps": 3,
+                               "method": "lattice", "output": output}))
+    value = str(tmp_path / "out.csv") if flag == "--out" else "json"
+    assert cli.main(["dist", "--config", str(cfg), flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: output must be an object with only 'path' and 'format'\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_compare_refuses_a_site_beyond_int64(tmp_path, capsys):
+    a = tmp_path / "a.csv"
+    a.write_text("x,p\n0,1\n")
+    for site in (2**63, -(2**63) - 1):
+        b = tmp_path / "b.csv"
+        b.write_text(f"x,p\n{site},1\n")
+        assert cli.main(["compare", str(a), str(b)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: sites must lie in the int64 range\n"
+
+
 def test_rho0_that_is_not_a_matrix_is_refused_by_the_parser(capsys):
     assert cli.main(["dist", "--example", "ex5", "--steps", "3", "--rho0", '{"a": 1}']) == 2
     captured = capsys.readouterr()

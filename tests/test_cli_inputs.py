@@ -14,7 +14,7 @@ import io
 import json
 
 import pytest
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from oqrw import cli, core
@@ -78,7 +78,7 @@ def _run(argv: list[str]) -> None:
         assert err.getvalue() == "", argv
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_any_config_ends_in_a_documented_exit_code(workdir, data):
     # a valid config, with a few of its fields dropped or replaced by any value
@@ -99,7 +99,10 @@ def test_any_config_ends_in_a_documented_exit_code(workdir, data):
         config = data.draw(_JSON, label="config")
     path = workdir / "config.json"
     path.write_text(json.dumps(config))
-    _run([data.draw(st.sampled_from(["dist", "sample"])), "--config", str(path)])
+    # --out and --format merge into the config's output field
+    flags = data.draw(st.lists(st.sampled_from([f"--out={workdir / 'out'}", *(f"--format={f}" for f in cli.FORMATS)]),
+                               max_size=2), label="flags")
+    _run([data.draw(st.sampled_from(["dist", "sample"])), "--config", str(path), *flags])
 
 
 def _flag(name: str, values: st.SearchStrategy) -> st.SearchStrategy:

@@ -28,6 +28,13 @@ def test_rejects_sites_or_weights_that_are_not_1d():
             Distribution(mapping)
 
 
+def test_sites_beyond_int64_are_refused():
+    for site in (2**63, -(2**63) - 1):
+        with pytest.raises(ValueError, match="int64 range"):
+            Distribution(([site], [1.0]))
+    assert Distribution(([2**63 - 1, -(2**63)], [0.5, 0.5])).sites.tolist() == [-(2**63), 2**63 - 1]
+
+
 def test_keeps_its_own_copy_of_the_arrays():
     sites, probs = np.array([-2, 0, 5]), np.array([0.25, 0.5, 0.25])
     d = Distribution((sites, probs))
