@@ -37,6 +37,7 @@ _DEFAULTS: dict[str, dict[str, float]] = {
 }
 
 CUT_UNFOLD_MAX_STEPS = 14
+CLOSED_FORM_FAMILIES = ("ex1", "ex3", "ex4")  # the families closed_form has a law for
 
 
 @dataclass(frozen=True)
@@ -195,7 +196,7 @@ def _closed_form_weights(spec: ExampleSpec, rho0_diag, n: int) -> np.ndarray:
     par = _merged_params(spec)
     a, b = _check_diag(rho0_diag)
     check_integer(n, "n", 0)
-    if spec.id in ("ex2", "ex5"):
+    if spec.id not in CLOSED_FORM_FAMILIES:
         raise UnsupportedExample(f"{spec.id} has no closed-form law; use the engines")
     check_size(n + 1, "closed-form coefficients")
     if n == 0:

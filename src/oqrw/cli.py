@@ -19,7 +19,7 @@ import numpy as np
 from . import catalog
 from .core import KrausPair, check_integer, check_seed, check_size, mat2_from_json, mat2_to_json, validate_kraus_pair
 from .distribution import Distribution, compare
-from .exceptions import OqrwError, ParameterError
+from .exceptions import OqrwError, ParameterError, UnsupportedExample
 
 METHODS = ("lattice", "dual", "trajectory", "closed_form", "cut_unfold", "both")
 FORMATS = ("csv", "json")
@@ -30,10 +30,11 @@ _IDENTITY_HALF = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
 def check_config(data) -> dict:
     """The run config held by a JSON object, checked: a dict of the fields
     kraus, rho0, steps, method, seed, traj and output in that order, with
-    None for an absent optional field. Every refusal is a ValueError (exit
-    code 2): steps >= 0 and traj >= 1 are checked by core.check_integer
-    (the builtin, for a bool or 3.0 too) and seed by core.check_seed, as
-    trajectory.sample checks them; ParameterError for anything else."""
+    None for an absent optional field. run then refuses only at a size
+    guard or a numeric check of the work. Every refusal is a ValueError
+    (exit 2): steps >= 0 and traj >= 1 by core.check_integer (the builtin,
+    for a bool or 3.0 too) and seed by core.check_seed, as trajectory.sample
+    checks them; ParameterError for anything else."""
     if not isinstance(data, dict):
         raise ParameterError("config must be a JSON object")
     fields = ("kraus", "rho0", "steps", "method", "seed", "traj", "output")
@@ -46,9 +47,15 @@ def check_config(data) -> dict:
     method = data["method"]
     if method not in METHODS:
         raise ParameterError(f"method {method!r} not in {METHODS}")
-    kraus = data["kraus"]
-    if isinstance(kraus, dict) and "example" in kraus:
-        _json_str("example", kraus["example"])
+    kraus, spec = data["kraus"], None
+    if not isinstance(kraus, dict):
+        raise ParameterError("kraus must be an object with 'example' or 'B'/'C'")
+    if "example" in kraus:
+        if set(kraus) != {"example"}:
+            raise ParameterError("kraus example form accepts only the 'example' key")
+        spec = catalog.parse_example_spec(_json_str("example", kraus["example"]))
+    elif set(kraus) != {"B", "C"}:
+        raise ParameterError("kraus must carry either 'example' or both 'B' and 'C'")
     output = data.get("output")
     if output is not None:
         if not isinstance(output, dict) or set(output) - {"path", "format"}:
@@ -63,6 +70,15 @@ def check_config(data) -> dict:
         check_seed(seed)
     if traj is not None:
         check_integer(traj, "traj", 1)
+    if method == "trajectory" and (seed is None or traj is None):
+        raise ParameterError("trajectory method requires both seed and traj")
+    if method == "closed_form":
+        if spec is None:
+            raise ParameterError("closed_form needs an example spec, not inline matrices")
+        if spec.id not in catalog.CLOSED_FORM_FAMILIES:
+            raise UnsupportedExample(f"{spec.id} has no closed-form law; use the engines")
+    if method == "cut_unfold" and (spec is None or spec.id != "ex5"):
+        raise ParameterError("cut_unfold applies to the ex5 pair only")
     return {key: data.get(key) for key in fields}
 
 
@@ -74,17 +90,10 @@ def _json_str(name: str, value) -> str:
 
 
 def _resolve_kraus(kraus: dict) -> tuple[KrausPair, catalog.ExampleSpec | None]:
-    if not isinstance(kraus, dict):
-        raise ParameterError("kraus must be an object with 'example' or 'B'/'C'")
     if "example" in kraus:
-        if set(kraus) != {"example"}:
-            raise ParameterError("kraus example form accepts only the 'example' key")
         spec = catalog.parse_example_spec(kraus["example"])
         return catalog.build(spec), spec
-    if set(kraus) == {"B", "C"}:
-        pair = validate_kraus_pair(mat2_from_json(kraus["B"]), mat2_from_json(kraus["C"]))
-        return pair, None
-    raise ParameterError("kraus must carry either 'example' or both 'B' and 'C'")
+    return validate_kraus_pair(mat2_from_json(kraus["B"]), mat2_from_json(kraus["C"])), None
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -114,12 +123,8 @@ def _law(method: str, pair: KrausPair, spec: catalog.ExampleSpec | None, rho0, n
 
         return dual.distribution_via_dual(pair, rho0, n)
     if method == "closed_form":
-        if spec is None:
-            raise ParameterError("closed_form needs an example spec, not inline matrices")
         return catalog.closed_form(spec, catalog._diag_of(rho0), n)
-    if spec is None or spec.id != "ex5":  # cut_unfold, the last exact method
-        raise ParameterError("cut_unfold applies to the ex5 pair only")
-    return catalog.cut_unfold_distribution(catalog._diag_of(rho0), n)
+    return catalog.cut_unfold_distribution(catalog._diag_of(rho0), n)  # cut_unfold, the last exact method
 
 
 def run(config: dict) -> int:
@@ -138,8 +143,6 @@ def run(config: dict) -> int:
         _emit(json.dumps(report, indent=2), out_path)
         return 0
     if config["method"] == "trajectory":
-        if config["seed"] is None or config["traj"] is None:
-            raise ParameterError("trajectory method requires both seed and traj")
         from . import trajectory
 
         report = trajectory.sample(pair, rho0, n, config["traj"], config["seed"])
@@ -151,6 +154,13 @@ def run(config: dict) -> int:
     return 0
 
 
+def _load_json(name: str, text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParameterError(f"{name} is not valid JSON: {exc}") from None
+
+
 def _kraus_from_args(args) -> dict | None:
     """The 'kraus' config field given by --example or --B/--C, if any."""
     if args.example is not None and (args.B is not None or args.C is not None):
@@ -160,45 +170,35 @@ def _kraus_from_args(args) -> dict | None:
     if args.B is not None or args.C is not None:
         if args.B is None or args.C is None:
             raise ParameterError("provide both --B and --C")
-        return {"B": json.loads(args.B), "C": json.loads(args.C)}
+        return {"B": _load_json("--B", args.B), "C": _load_json("--C", args.C)}
     return None
 
 
-def _config_from_args(args) -> dict:
+def _cmd_run(args) -> int:
     base: dict = {}
     if args.config:
         with open(args.config) as fh:
-            base = json.load(fh)
+            base = _load_json(f"config file {args.config}", fh.read())
         if not isinstance(base, dict):
             raise ParameterError("config file must hold a JSON object")
     kraus = _kraus_from_args(args)
     if kraus is not None:
         base["kraus"] = kraus
     if args.rho0 is not None:
-        base["rho0"] = json.loads(args.rho0)
+        base["rho0"] = _load_json("--rho0", args.rho0)
     base.setdefault("rho0", _IDENTITY_HALF)
     for key in ("steps", "method", "seed", "traj"):
         if getattr(args, key) is not None:
             base[key] = getattr(args, key)
     base.setdefault("method", "lattice")
-    if args.out is not None or args.format is not None:
-        output = base.get("output")
-        if output is None or isinstance(output, dict):  # check_config refuses any other value
-            output = dict(output or {})
-            if args.out is not None:
-                output["path"] = args.out
-            if args.format is not None:
-                output["format"] = args.format
-            base["output"] = output
+    flags = {key: value for key, value in (("path", args.out), ("format", args.format)) if value is not None}
+    if flags and (base.get("output") is None or isinstance(base["output"], dict)):  # check_config refuses the rest
+        base["output"] = {**(base.get("output") or {}), **flags}
     if "kraus" not in base:
         raise ParameterError("no Kraus pair given: use --example, --B/--C, or --config")
     if "steps" not in base:
         raise ParameterError("number of steps not given: use --steps or --config")
-    return check_config(base)
-
-
-def _cmd_dist(args) -> int:
-    return run(_config_from_args(args))
+    return run(check_config(base))
 
 
 def _cmd_clt(args) -> int:
@@ -279,11 +279,11 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dist", help="time-n distribution by a chosen engine")
     _add_run_flags(p)
     p.add_argument("--method", choices=METHODS, help="engine (default lattice)")
-    p.set_defaults(func=_cmd_dist)
+    p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("sample", help="Monte Carlo trajectory sampling")
     _add_run_flags(p)
-    p.set_defaults(func=_cmd_dist, method="trajectory")
+    p.set_defaults(func=_cmd_run, method="trajectory")
 
     p = sub.add_parser("clt", help="drift and CLT variance of a pair")
     _add_kraus_flags(p)
@@ -319,7 +319,7 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         return args.func(args)
-    except (ValueError, OSError) as exc:  # ParameterError and json.JSONDecodeError are ValueErrors
+    except (ValueError, OSError) as exc:  # ParameterError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OqrwError as exc:

@@ -153,7 +153,9 @@ def finalize(lo: int, p, n: int) -> Distribution:
 
 def compare(a: Distribution, b: Distribution) -> dict:
     """Max-abs difference over the union support and total variation distance."""
-    union = np.union1d(a.sites, b.sites)
+    # the union of the supports, sorted: np.union1d would import numpy.ma into a cold process
+    both = np.sort(np.concatenate((a.sites, b.sites)))
+    union = np.concatenate((both[:1], both[1:][both[1:] != both[:-1]]))
     pa = np.zeros(union.size)
     pb = np.zeros(union.size)
     ia = np.searchsorted(union, a.sites)

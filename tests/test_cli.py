@@ -296,14 +296,51 @@ def test_init_example_rejects_bad_params(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--steps", "4", "--seed", "-1"], ["--steps", "-3", "--seed", "1"], ["--steps", "4", "--seed", "1", "--traj", "0"]],
+    [
+        ["ex5", "--method=trajectory", "--traj=10", "--steps=4", "--seed=-1"],
+        ["ex5", "--method=trajectory", "--traj=10", "--steps=-3", "--seed=1"],
+        ["ex5", "--method=trajectory", "--traj=0", "--steps=4", "--seed=1"],
+        ["ex3", "--method=trajectory", "--steps=5"],
+        ["ex1", "--method=cut_unfold", "--steps=5"],
+        ["ex2", "--method=closed_form", "--steps=5"],
+        ["ex5", "--method=closed_form", "--steps=5"],
+    ],
 )
 def test_init_example_refuses_what_dist_refuses(tmp_path, capsys, flags):
+    # init-example refuses the config it would write with the line that
+    # dist --config prints for that config, and writes nothing
+    example, *options = flags
+    config = {"kraus": {"example": example}}
+    for option in options:
+        key, value = option[2:].split("=")
+        config[key] = value if key == "method" else int(value)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.main(["dist", "--config", str(cfg)]) == 2
+    refused = capsys.readouterr().err
+    assert refused.startswith("error: ") and refused.count("\n") == 1
     out = tmp_path / "c.json"
-    argv = ["init-example", "ex5", "--method", "trajectory", "--traj", "10", *flags, "--out", str(out)]
-    assert cli.main(argv) == 2
+    assert cli.main(["init-example", *flags, "--out", str(out)]) == 2
     assert not out.exists()
-    capsys.readouterr()
+    assert capsys.readouterr().err == refused
+
+
+@pytest.mark.parametrize("name", ["--B", "--C", "--rho0", "config file"])
+def test_a_malformed_json_input_is_named(tmp_path, capsys, name):
+    cfg = tmp_path / "run.json"
+    cfg.write_text("[[")
+    b, c = _b_c_flags()[1::2]
+    argv = {
+        "--B": ["--B", "[[", "--C", c],
+        "--C": ["--B", b, "--C", "[["],
+        "--rho0": ["--example", "ex5", "--rho0", "[["],
+        "config file": ["--config", str(cfg)],
+    }[name]
+    assert cli.main(["dist", *argv, "--steps", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    named = f"config file {cfg}" if name == "config file" else name
+    assert captured.err == f"error: {named} is not valid JSON: Expecting value: line 1 column 3 (char 2)\n"
 
 
 @pytest.mark.parametrize(
@@ -453,10 +490,11 @@ def test_asym_refuses_a_window_beyond_the_size_guard(monkeypatch, capsys):
 def test_kraus_example_with_extra_keys_rejected():
     from oqrw.exceptions import ParameterError
 
-    with pytest.raises(ParameterError):
-        cli._resolve_kraus({"example": "ex5", "B": []})
-    with pytest.raises(ParameterError):
-        cli._resolve_kraus({"B": []})
+    config = {"rho0": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]], "steps": 3, "method": "lattice"}
+    with pytest.raises(ParameterError, match="only the 'example' key"):
+        cli.check_config({**config, "kraus": {"example": "ex5", "B": []}})
+    with pytest.raises(ParameterError, match="either 'example' or both 'B' and 'C'"):
+        cli.check_config({**config, "kraus": {"B": []}})
 
 
 def test_bool_matrix_entry_is_exit_2(capsys):

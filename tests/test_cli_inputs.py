@@ -65,7 +65,7 @@ def _outputs(out_path: str) -> st.SearchStrategy:
     )
 
 
-def _run(argv: list[str]) -> None:
+def _run(argv: list[str]) -> int:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
@@ -76,6 +76,7 @@ def _run(argv: list[str]) -> None:
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err.getvalue())
     else:
         assert err.getvalue() == "", argv
+    return code
 
 
 @settings(max_examples=300, deadline=None)
@@ -127,3 +128,27 @@ def test_any_flag_value_ends_in_a_documented_exit_code(command, kraus, rho0, ste
     else:
         argv = [command, *kraus, *rho0, f"--steps={steps}", "--seed=0", "--traj=8"]
     _run(argv)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kraus=st.sampled_from([*_SPECS, "ex3:gamma=2.0", "ex4:eps=0.8", "ex1:q=0.5"]).map(lambda spec: {"example": spec})
+    | st.just(_EX5),
+    steps=st.integers(0, 6),
+    method=st.sampled_from(cli.METHODS),
+    seed=st.just(_DROP) | st.none() | st.integers(0, 2**64 - 1),
+    traj=st.just(_DROP) | st.none() | st.integers(1, 64),
+)
+def test_every_config_check_config_passes_runs(workdir, kraus, steps, method, seed, traj):
+    # check_config is the one check of a run config: below the size guards,
+    # a config it passes runs with exit code 0
+    config = {"kraus": kraus, "rho0": _HALF, "steps": steps, "method": method, "seed": seed, "traj": traj}
+    config = {key: value for key, value in config.items() if value is not _DROP}
+    try:
+        cli.check_config(config)
+    except ValueError:
+        event("refused by check_config")
+        return
+    path = workdir / "passed.json"
+    path.write_text(json.dumps(config))
+    assert _run(["dist", "--config", str(path)]) == 0

@@ -54,6 +54,21 @@ def test_cli_imports_only_the_engines_a_subcommand_runs(tmp_path):
     assert _run(code).splitlines()[-1] == "['trajectory']"
 
 
+def test_compare_leaves_numpy_ma_unloaded(tmp_path):
+    # the union of two supports is formed without np.union1d, whose np.unique
+    # imports numpy.ma on first use, a cost of every cold `oqrw compare`
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("x,p\n0,0.5\n2,0.5\n")
+    b.write_text("x,p\n-2,0.25\n0,0.75\n")
+    code = (
+        "import sys\n"
+        "from oqrw import cli\n"
+        f"assert cli.main(['compare', {str(a)!r}, {str(b)!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    assert _run(code).splitlines()[-1] == "False"
+
+
 def test_closed_form_leaves_scipy_stats_unloaded():
     # the closed-form binomials are formed with numpy, not scipy.stats
     code = (
