@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import KrausPair, check_integer, check_size, density_matrix, validate_kraus_pair
+from .core import KrausPair, check_integer, check_real, check_size, density_matrix, validate_kraus_pair
 from .distribution import Distribution, finalize
 from .exceptions import ParameterError, SizeError, UnsupportedExample
 
@@ -75,17 +75,17 @@ def parse_example_spec(text: str) -> ExampleSpec:
 
 
 def _merged_params(spec: ExampleSpec) -> dict[str, float]:
-    """The parameters of spec over its family's defaults, in the family's
-    ranges: build and closed_form both take them from here."""
+    """The parameters of spec, each by core.check_real, over its family's
+    defaults and in its ranges: build and closed_form take them from here."""
     allowed = _DEFAULTS.get(spec.id)
     if allowed is None:
         raise ParameterError(f"unknown example {spec.id!r}; expected one of {sorted(_DEFAULTS)}")
-    extra = set(spec.params) - set(allowed)
-    if extra:
-        raise ParameterError(
-            f"unknown parameter(s) {sorted(extra)} for {spec.id}; allowed: {sorted(allowed) or 'none'}"
-        )
-    par = {**allowed, **spec.params}
+    if not spec.params.keys() <= allowed.keys():
+        extra = sorted(set(spec.params) - set(allowed))
+        raise ParameterError(f"unknown parameter(s) {extra} for {spec.id}; allowed: {sorted(allowed) or 'none'}")
+    par = dict(allowed)
+    for key, value in spec.params.items():
+        par[key] = check_real(value, key)
     if "p" in par and not 0.0 <= par["p"] <= 1.0:
         raise ParameterError(f"p={par['p']} violates 0 <= p <= 1")
     if spec.id == "ex3":
@@ -154,8 +154,8 @@ def all_examples() -> list[ExampleSpec]:
 
 
 def _check_diag(rho0_diag) -> tuple[float, float]:
-    a, b = (float(v) for v in rho0_diag)
-    if not (a >= 0 and b >= 0 and abs(a + b - 1.0) <= 1e-12):  # written so that NaN fails
+    a, b = (check_real(v, "rho0 diagonal entry") for v in rho0_diag)
+    if min(a, b) < 0 or abs(a + b - 1.0) > 1e-12:
         raise ParameterError(f"rho0 diagonal ({a}, {b}) must be nonnegative and sum to 1")
     return a, b
 
@@ -273,7 +273,7 @@ class Ex5Spectrum:
 
 
 def ex5_spectrum(k: float) -> Ex5Spectrum:
-    k = float(k)
+    k = check_real(k, "k")
     u = math.cos(k)
     xi = (2 * u + math.sqrt(4 * u * u + 1)) ** (1.0 / 3.0)
     s = xi - 1.0 / xi

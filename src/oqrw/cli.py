@@ -154,10 +154,11 @@ def run(config: dict) -> int:
     return 0
 
 
-def _load_json(name: str, text: str):
+def _load_json(name: str, text: str | bytes):
+    """The JSON value of a flag's text or a file's UTF-8 bytes; ParameterError naming the input otherwise."""
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text.decode() if isinstance(text, bytes) else text)
+    except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
         raise ParameterError(f"{name} is not valid JSON: {exc}") from None
 
 
@@ -177,7 +178,7 @@ def _kraus_from_args(args) -> dict | None:
 def _cmd_run(args) -> int:
     base: dict = {}
     if args.config:
-        with open(args.config) as fh:
+        with open(args.config, "rb") as fh:
             base = _load_json(f"config file {args.config}", fh.read())
         if not isinstance(base, dict):
             raise ParameterError("config file must hold a JSON object")

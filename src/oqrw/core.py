@@ -13,15 +13,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
+from .distribution import noise_floor
 from .exceptions import NormalizationError, ParameterError, SizeError
 
 KRAUS_TOL = 1e-12
 HERMITIAN_TOL = 1e-12
-EIGENVALUE_FLOOR = -1e-12
+EIGENVALUE_FLOOR = -noise_floor(0)  # -eps: below it the engines' roundoff checks would refuse the start
 TRACE_TOL = 1e-12
 # Largest number of sites, Fourier nodes, count bins or coefficients that one
 # engine array may hold; see check_size.
@@ -51,6 +52,22 @@ def check_integer(value, name: str, least: int | None = None) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}")
+
+
+def check_real(value, name: str) -> float:
+    """value as a float when it is a finite real number, a numbers.Real such
+    as float, int or np.float64 but not a bool; ParameterError otherwise.
+    Every real parameter of the package is checked here."""
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, Real):
+            raise ParameterError(f"{name} must be a real number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ParameterError(f"{name} is too large for a float") from None
+    if not math.isfinite(value):
+        raise ParameterError(f"{name} must be finite, got {value!r}")
+    return value
 
 
 def check_seed(seed) -> None:
@@ -204,7 +221,10 @@ def mat2_from_json(data) -> np.ndarray:
     except (TypeError, ValueError, OverflowError):  # a dict, a non-numeric string, an int beyond float
         raise ValueError(f"expected a 2x2 matrix of [re, im] pairs, got {type(data).__name__}") from None
     if a.shape != (2, 2, 2):
-        raise ValueError(f"expected a 2x2 matrix of [re, im] pairs, got shape {a.shape}")
+        raise ValueError(
+            "expected a 2x2 matrix of [re, im] pairs, [[[re, im], [re, im]], [[re, im], [re, im]]]"
+            f" (shape (2, 2, 2)), got shape {a.shape}"
+        )
     if any(isinstance(v, (bool, np.bool_)) for v in np.asarray(data, dtype=object).flat):
         raise ValueError("expected a 2x2 matrix of [re, im] pairs, got a bool entry")
     if not np.isfinite(a).all():  # before 1j * inf makes a NaN

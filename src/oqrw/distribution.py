@@ -105,21 +105,18 @@ class Distribution:
 
     @classmethod
     def from_csv(cls, path) -> "Distribution":
-        with open(path) as fh:
-            text = fh.read()
-        return cls.from_csv_text(text)
+        """The law of a CSV file; ValueError naming the file when it is not
+        UTF-8 text or a row does not parse."""
+        try:
+            with open(path) as fh:
+                rows = _csv_rows(fh.read())
+        except ValueError as exc:  # a UnicodeDecodeError too
+            raise ValueError(f"{path}: {exc}") from None
+        return cls(rows)
 
     @classmethod
     def from_csv_text(cls, text: str) -> "Distribution":
-        lines = [ln for ln in text.strip().splitlines() if ln]
-        if not lines or lines[0].strip() != "x,p":
-            raise ValueError("expected header 'x,p'")
-        sites, probs = [], []
-        for ln in lines[1:]:
-            xs, ps = ln.split(",")
-            sites.append(int(xs))
-            probs.append(float(ps))
-        return cls((sites, probs))
+        return cls(_csv_rows(text))
 
     def to_json_dict(self) -> dict:
         return {"x": [int(x) for x in self.sites], "p": [float(p) for p in self.probs]}
@@ -127,6 +124,26 @@ class Distribution:
     @classmethod
     def from_json_dict(cls, data) -> "Distribution":
         return cls((data["x"], data["p"]))
+
+
+def _csv_rows(text: str) -> tuple[list, list]:
+    """The sites and weights of `x,p` CSV text, empty lines skipped; a row
+    that does not parse raises ValueError naming its 1-based line."""
+    body = text.lstrip()
+    lines = body.rstrip().splitlines()
+    if not lines or lines[0].strip() != "x,p":
+        raise ValueError("expected header 'x,p'")
+    sites, probs = [], []
+    header = text.count("\n", 0, len(text) - len(body)) + 1
+    for number, ln in enumerate(lines[1:], header + 1):
+        try:
+            if ln:
+                xs, ps = ln.split(",")
+                sites.append(int(xs))
+                probs.append(float(ps))
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {exc}") from None
+    return sites, probs
 
 
 def finalize(lo: int, p, n: int) -> Distribution:

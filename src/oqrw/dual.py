@@ -55,9 +55,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import KrausPair, check_integer, check_size, density_matrix
+from .core import KrausPair, check_integer, check_real, check_size, density_matrix
 from .distribution import Distribution, finalize
-from .exceptions import ResidueError
+from .exceptions import ParameterError, ResidueError
 
 SYMMETRY_TOL = 1e-9
 SYMMETRY_PROBES = 8
@@ -221,7 +221,8 @@ def dual_power(kp: KrausPair, k: float, n: int) -> np.ndarray:
     H, V = _reachable_block(kp)
     # S(k) V = V (e^{ik} H_B + e^{-ik} H_C) = e^{ik} V T(e^{-2ik}), so
     # vec(Y_n) = e^{ikn} V T^n e: the rows of V take the place of r
-    y = _power_traces(H, V, n, -2j, 0, np.array([k], dtype=float))[0]
+    k = check_real(k, "k")
+    y = _power_traces(H, V, n, -2j, 0, np.array([k]))[0]
     return (np.exp(1j * k * n) * y).reshape(2, 2)
 
 
@@ -279,13 +280,14 @@ def distribution_via_dual(kp: KrausPair, rho0, n: int) -> Distribution:
 def characteristic_function(kp: KrausPair, rho0, n: int, t, scale: float = 1.0):
     """E[e^{i t X_n / scale}] from the exact distribution.
 
-    t may be a scalar or an array (the distribution is computed once). scale
-    is a real number in (0, inf), or ValueError is raised before the law is
-    formed.
+    t may be a scalar or an array (the distribution is computed once). Each
+    t and scale are checked by core.check_real, and scale must be positive,
+    before the law is formed.
     """
-    if not (isinstance(scale, (int, float, np.integer, np.floating)) and 0 < scale < np.inf):  # NaN fails too
-        raise ValueError(f"scale must be positive and finite, not {scale!r}")
+    scale = check_real(scale, "scale")
+    if scale <= 0:
+        raise ParameterError(f"scale must be positive, got {scale!r}")
+    t_arr = np.array([check_real(v, "t") for v in np.ravel(t).tolist()], dtype=float)
     d = distribution_via_dual(kp, rho0, n)
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     vals = np.exp(1j * np.outer(t_arr, d.sites.astype(float) / scale)) @ d.probs
     return complex(vals[0]) if np.isscalar(t) or np.ndim(t) == 0 else vals

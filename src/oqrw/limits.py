@@ -36,7 +36,7 @@ from .core import (
     apply_channel,
     branch_maps,
     check_integer,
-    density_matrix,
+    check_real,
     from_pauli,
     to_pauli,
 )
@@ -75,7 +75,8 @@ def invariant_states(kp: KrausPair) -> InvariantReport:
     core.branch_maps within 1e-9 of 1. When the fixed space is
     one-dimensional the report carries the invariant density matrix and the
     sup-norm residual of the fixed-point equation; otherwise rho_inf is None.
-    Raises NoInvariantState when no eigenvalue is near 1.
+    Raises NoInvariantState when no eigenvalue is near 1, or when the fixed
+    vector is not a state to within RESIDUAL_TOL.
     """
     vals, vecs = np.linalg.eig(sum(branch_maps(kp)))
     near_one = np.abs(vals - 1.0) <= EIGENVALUE_ONE_TOL
@@ -88,7 +89,13 @@ def invariant_states(kp: KrausPair) -> InvariantReport:
     h = vecs[:, near_one][:, 0].real
     if abs(h[0]) < 1e-12:
         raise NoInvariantState("fixed vector is traceless, not a state")
-    rho = density_matrix(from_pauli(h / h[0]))
+    h = h / h[0]
+    # the smaller eigenvalue of from_pauli(h): roundoff puts a pure state such as ex3's |0><0| at
+    # about -1e-15, below the -eps that core.density_matrix allows a start state
+    low = (1 - math.hypot(*h[1:])) / 2
+    if low < -RESIDUAL_TOL:
+        raise NoInvariantState(f"fixed vector is not a state: min eigenvalue {low:.3e}")
+    rho = from_pauli(h)
     residual = float(np.max(np.abs(apply_channel(kp, rho) - rho)))
     if residual > RESIDUAL_TOL:
         raise NoInvariantState(f"fixed-point residual {residual:.3e} exceeds {RESIDUAL_TOL}")
@@ -181,13 +188,12 @@ def laplace_ratio(f, g, interval: tuple[float, float], n: int) -> float:
     that maximizer is unique in the closed interval. The integrand is
     evaluated on a fixed grid of 2^14 panels; a plateau of near-maximal |f|
     values wider than a few grid points raises DegenerateMax since the limit
-    is then a weighted average, not a point value. f and g are called on the
-    grid; a scalar result stands for that value at every point, and complex
-    or non-finite values raise ValueError.
+    is then a weighted average, not a point value. The interval ends are
+    checked by core.check_real. f and g are called on the grid; a scalar
+    result stands for that value at every point, and complex or non-finite
+    values raise ValueError.
     """
-    lo, hi = map(float, interval)
-    if not np.isfinite([lo, hi]).all():
-        raise ValueError("interval ends must be finite")
+    lo, hi = (check_real(end, "interval ends") for end in interval)
     if not hi > lo:
         raise ValueError("interval must satisfy lo < hi")
     check_integer(n, "n", 0)
@@ -257,10 +263,7 @@ def ex5_alpha(n: int) -> float:
     beyond the largest float (about 1.8e308) raises ParameterError.
     """
     check_integer(n, "n", 1)
-    try:
-        cut = min(np.pi / 2, 40 / math.sqrt(n))
-    except OverflowError:
-        raise ParameterError("n is too large for a float") from None
+    cut = min(np.pi / 2, 40 / math.sqrt(check_real(n, "n")))
     edges = np.concatenate(
         [np.linspace(0, cut, ALPHA_PEAK_PANELS + 1), np.linspace(cut, np.pi / 2, ALPHA_TAIL_PANELS + 1)[1:]]
     )
@@ -280,21 +283,12 @@ def drift_concentration_check(spec: ExampleSpec, rho0_diag, alpha: float, n: int
     weights before the noise floor, so the reported tail mass is exact rather
     than truncated. The walk drifts to -n; everything at distance more than
     0.5 * n^alpha from -n is summed, and a window too wide for a float holds
-    all the mass. Raises ParameterError for an alpha that is not a real
-    number a float holds (a string, None or a complex), ValueError for a NaN
-    alpha, and the errors of closed_form for a bad start, an n that is not an
-    integer >= 0, or more than core.MAX_SITES coefficients.
+    all the mass. alpha is checked by core.check_real; the rest raise the
+    errors of closed_form.
     """
     if spec.id != "ex3":
         raise ParameterError(f"the drift window needs the lazy-drift family ex3, not {spec.id}")
-    if not isinstance(alpha, (int, float, np.integer, np.floating)):
-        raise ParameterError(f"alpha must be a real number, not {alpha!r}")
-    try:
-        alpha = float(alpha)
-    except OverflowError:
-        raise ParameterError("alpha is too large for a float") from None
-    if np.isnan(alpha):
-        raise ValueError("alpha must not be NaN")
+    alpha = check_real(alpha, "alpha")
     weights = _closed_form_weights(spec, rho0_diag, n)  # mass at x = 2i - n, at distance 2i from -n
     if n == 0:
         return 0.0  # all mass sits at the ballistic point

@@ -1,8 +1,12 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oqrw
 from oqrw import cli, core
 from oqrw.core import mat2_to_json
 from oqrw.distribution import Distribution, noise_floor
@@ -541,3 +545,59 @@ def test_a_fault_inside_a_handler_is_not_reported_as_bad_input(monkeypatch, caps
     with pytest.raises(cls):
         cli.main(["clt", "--example", "ex5"])
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "content, line",
+    [
+        (b"x,p\n0,0.5\n\n2,abc\n", "line 4: could not convert string to float: 'abc'"),
+        (b"\n\nx,p\n0,0.5\n1,2,3\n", "line 5: too many values to unpack (expected 2)"),
+        (b"\xffx,p\n", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ],
+)
+def test_compare_names_the_file_and_line_of_a_bad_csv(tmp_path, capsys, content, line):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("x,p\n0,1\n")
+    b.write_bytes(content)
+    assert cli.main(["compare", str(a), str(b)]) == 2
+    assert capsys.readouterr().err == f"error: {b}: {line}\n"
+
+
+def test_a_config_file_that_is_not_utf8_is_named(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_bytes(b'\xff{"steps": 2}')
+    assert cli.main(["dist", "--config", str(cfg)]) == 2
+    codec = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    assert capsys.readouterr().err == f"error: config file {cfg} is not valid JSON: {codec}\n"
+
+
+def test_a_plain_matrix_is_refused_with_the_nesting_expected(capsys):
+    assert cli.main(["dist", "--example", "ex5", "--steps", "2", "--rho0", "[[1,2],[3,4]]"]) == 2
+    form = "[[[re, im], [re, im]], [[re, im], [re, im]]] (shape (2, 2, 2))"
+    assert capsys.readouterr().err == f"error: expected a 2x2 matrix of [re, im] pairs, {form}, got shape (2, 2)\n"
+
+
+@pytest.mark.parametrize("method", ["lattice", "dual", "closed_form"])
+def test_a_start_below_the_roundoff_floor_is_refused_as_input(capsys, method):
+    # diag(1 + 1e-13, -1e-13): the engines would refuse it as a numerical fault (exit 3) at step 2
+    rho = "[[[1.0000000000001,0],[0,0]],[[0,0],[-1e-13,0]]]"
+    assert cli.main(["dist", "--example", "ex1", "--steps", "2", "--method", method, "--rho0", rho]) == 2
+    assert capsys.readouterr().err == "error: not positive semidefinite: min eigenvalue -9.998e-14\n"
+
+
+@pytest.mark.parametrize(
+    "spec, line",
+    [("ex4:theta=inf", "theta must be finite, got inf"), ("ex2:phi3=-inf", "phi3 must be finite, got -inf"),
+     ("ex1:p=nan", "p must be finite, got nan")],
+)
+def test_a_non_finite_example_parameter_is_one_error_line(tmp_path, capsys, spec, line):
+    # refused by the spec parser: init-example writes nothing, and dist prints
+    # no numpy warning from exp(i inf) before its error line
+    out = tmp_path / "c.json"
+    assert cli.main(["init-example", spec, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error: {line}\n"
+    src = str(Path(oqrw.__file__).resolve().parent.parent)
+    run = subprocess.run([sys.executable, "-m", "oqrw.cli", "dist", "--example", spec, "--steps", "3"],
+                         cwd=src, capture_output=True, text=True)
+    assert (run.returncode, run.stdout, run.stderr) == (2, "", f"error: {line}\n")

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oqrw import catalog, cli, core, dual, lattice, limits, trajectory
-from oqrw.exceptions import NormalizationError
+from oqrw.exceptions import NormalizationError, ParameterError
 
 from conftest import make_random_pairs
 
@@ -58,10 +58,10 @@ def test_density_matrix_checks():
         # diagonal and on it (where it is 2 |Im rho_aa|)
         ([[0.5, 0.1], [0.1 + 0.9e-12, 0.5]], [[0.5, 0.1], [0.1 + 1.1e-12, 0.5]]),
         ([[0.5 + 0.45e-12j, 0], [0, 0.5]], [[0.5 + 0.55e-12j, 0], [0, 0.5]]),
-        # positive semidefinite: the smallest eigenvalue against EIGENVALUE_FLOOR = -1e-12
-        (np.diag([1 + 0.9e-12, -0.9e-12]), np.diag([1 + 1.1e-12, -1.1e-12])),
-        ([[0.5, 0.5 + 0.9e-12], [0.5 + 0.9e-12, 0.5]], [[0.5, 0.5 + 1.1e-12], [0.5 + 1.1e-12, 0.5]]),
-        ([[0.5, 0.5j + 0.9e-12j], [-0.5j - 0.9e-12j, 0.5]], [[0.5, 0.5j + 1.1e-12j], [-0.5j - 1.1e-12j, 0.5]]),
+        # positive semidefinite: the smallest eigenvalue against EIGENVALUE_FLOOR = -eps = -2.2e-16
+        (np.diag([1 + 1.1e-16, -1.1e-16]), np.diag([1 + 3.3e-16, -3.3e-16])),
+        ([[0.5, 0.5 + 1.1e-16], [0.5 + 1.1e-16, 0.5]], [[0.5, 0.5 + 3.3e-16], [0.5 + 3.3e-16, 0.5]]),
+        ([[0.5, 0.5j + 1.1e-16j], [-0.5j - 1.1e-16j, 0.5]], [[0.5, 0.5j + 3.3e-16j], [-0.5j - 3.3e-16j, 0.5]]),
         # trace against TRACE_TOL = 1e-12, above 1 and below it
         (np.diag([0.5, 0.5 + 0.9e-12]), np.diag([0.5, 0.5 + 1.1e-12])),
         (np.diag([0.5, 0.5 - 0.9e-12]), np.diag([0.5, 0.5 - 1.1e-12])),
@@ -264,3 +264,44 @@ def test_every_count_follows_the_one_integer_rule(entry):
     with pytest.raises(ValueError, match=re.escape(f"{name} must be >= {least}")):
         call(least - 1)
     assert call(np.int64(least + 3)) == call(least + 3)
+
+
+_SPEC = catalog.ExampleSpec
+# every entry point that takes a real parameter: (name of the parameter, an integral valid value, one-argument call)
+_REALS = {
+    "catalog.build.p": ("p", 1, lambda v: [K.tobytes() for K in catalog.build(_SPEC("ex1", {"p": v}))]),
+    "catalog.build.theta": ("theta", 2, lambda v: [K.tobytes() for K in catalog.build(_SPEC("ex4", {"theta": v}))]),
+    "catalog.closed_form.theta": ("theta", 0, lambda v: catalog.closed_form(_SPEC("ex4", {"theta": v}), (0.5, 0.5), 5)),
+    "catalog.closed_form.rho0": ("rho0 diagonal entry", 1, lambda v: catalog.closed_form(_SPEC("ex3"), (v, 0.0), 5)),
+    "catalog.cut_unfold_exact": ("rho0 diagonal entry", 0, lambda v: catalog.cut_unfold_exact((v, 1.0), 5)),
+    "catalog.ex5_spectrum": ("k", 1, lambda v: catalog.ex5_spectrum(v).lam),
+    "limits.laplace_ratio": ("interval ends", 1, lambda v: limits.laplace_ratio(np.cos, np.cos, (-2, v), 5)),
+    "limits.drift_concentration_check": (
+        "alpha", 1, lambda v: limits.drift_concentration_check(_SPEC("ex3"), (0.5, 0.5), v, 30)
+    ),
+    "dual.dual_power": ("k", 1, lambda v: dual.dual_power(_EX5, v, 5).tobytes()),
+    "dual.characteristic_function.t": ("t", 1, lambda v: dual.characteristic_function(_EX5, _HALF, 5, v)),
+    "dual.characteristic_function.scale": ("scale", 2, lambda v: dual.characteristic_function(_EX5, _HALF, 5, 1.0, v)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_REALS))
+def test_every_real_parameter_follows_the_one_real_rule(entry):
+    """core.check_real guards every real parameter: a bool, a string, None,
+    a complex, NaN, an infinity and an int beyond a float are refused with
+    ParameterError naming the parameter, and an int and an np.float64 give the
+    result of the equal float."""
+    name, valid, call = _REALS[entry]
+    for bad in (True, "0.5", None, 1 + 0j, float("nan"), float("inf"), -float("inf"), 10**400):
+        with pytest.raises(ParameterError, match=re.escape(name) + " (must be|is too large)"):
+            call(bad)
+    assert call(valid) == call(float(valid)) == call(np.float64(valid))
+
+
+def test_check_real_messages():
+    assert core.check_real(np.float32(0.5), "x") == 0.5 and type(core.check_real(3, "x")) is float
+    for bad, message in ((True, "x must be a real number, got True"), ("1", "x must be a real number, got '1'"),
+                         (10**400, "x is too large for a float"), (float("nan"), "x must be finite, got nan"),
+                         (np.float64("-inf"), "x must be finite, got -inf")):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            core.check_real(bad, "x")

@@ -403,3 +403,11 @@ def test_drift_concentration_rejects_wrong_shape():
             limits.drift_concentration_check(_spec(text), (0.5, 0.5), 1.0, 10)
     with pytest.raises(ParameterError):
         limits.drift_concentration_check(_spec("ex3"), (0.7, 0.7), 1.0, 10)
+
+
+def test_clt_params_takes_a_pure_invariant_state_within_its_roundoff():
+    # ex3's rho_inf is |0><0|; its computed eigenvector falls below 0 by about
+    # 1e-15 here, more than the -eps that core.density_matrix allows a start
+    params = limits.clt_params(catalog.build(catalog.parse_example_spec("ex3:p=0.9,gamma=0.2")))
+    assert params.m == pytest.approx(-1.0, abs=1e-12)
+    np.testing.assert_allclose(params.rho_inf, np.diag([1.0, 0.0]), atol=1e-14)
